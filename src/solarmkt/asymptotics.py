@@ -152,19 +152,26 @@ def _slope_terms(scenario: Scenario, c0: float):
     return numerator, denominator, mu_sum
 
 
+def _first_order(scenario: Scenario) -> tuple[float, float, float]:
+    """(c0, prt slope, cb slope): the expansion up to the premium shape.
+
+    Defined for a degenerate premium too, where both slopes are zero;
+    ``expansion_coefficients`` adds the shape terms lambda and beta.
+    """
+    c0 = _base_capacity(scenario)
+    numerator, denominator, mu_sum = _slope_terms(scenario, c0)
+    return (c0, -numerator / denominator,
+            -scenario.premium.base_mean * mu_sum / denominator)
+
+
 def prt_slope_at_zero(scenario: Scenario) -> float:
     """d c_prt / d(premium scale) at scale zero."""
-    c0 = _base_capacity(scenario)
-    numerator, denominator, _ = _slope_terms(scenario, c0)
-    return -numerator / denominator
+    return _first_order(scenario)[1]
 
 
 def cb_slope_at_zero(scenario: Scenario) -> float:
     """d c_cb / d(premium scale) at scale zero."""
-    c0 = _base_capacity(scenario)
-    numerator, denominator, mu_sum = _slope_terms(scenario, c0)
-    del numerator
-    return -scenario.premium.base_mean * mu_sum / denominator
+    return _first_order(scenario)[2]
 
 
 def lambda_ratio(prem: PremiumDistribution) -> float:
@@ -197,25 +204,16 @@ def lambda_ratio(prem: PremiumDistribution) -> float:
 
 def beta_constant(scenario: Scenario) -> float:
     """Guaranteed first-order over-investment rate of the contract market."""
-    if scenario.premium.v_bar <= 0.0:
-        raise ValueError("beta requires a non-degenerate premium distribution")
-    c0 = _base_capacity(scenario)
-    numerator, denominator, _ = _slope_terms(scenario, c0)
-    lam = lambda_ratio(scenario.premium)
-    return (1.0 - lam) * numerator / (-(1.0 + lam) * denominator)
+    return expansion_coefficients(scenario).beta
 
 
 def expansion_coefficients(scenario: Scenario) -> ExpansionCoefficients:
     """All small-scale expansion constants in one pass."""
-    c0 = _base_capacity(scenario)
-    numerator, denominator, mu_sum = _slope_terms(scenario, c0)
+    c0, prt_slope, cb_slope = _first_order(scenario)
     lam = lambda_ratio(scenario.premium)
     return ExpansionCoefficients(
-        c0=c0,
-        prt_slope=-numerator / denominator,
-        cb_slope=-scenario.premium.base_mean * mu_sum / denominator,
-        lam=lam,
-        beta=(1.0 - lam) * numerator / (-(1.0 + lam) * denominator))
+        c0=c0, prt_slope=prt_slope, cb_slope=cb_slope, lam=lam,
+        beta=(1.0 - lam) / (1.0 + lam) * prt_slope)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 All science inputs come from the JSON scenario config; the only
 environment control is SOLARMKT_LOG_LEVEL for log verbosity.  Outputs
-are deterministic given (config, seed): sweeps may solve points in
-parallel but results are ordered before writing.
+are deterministic given (config, seed): sweeps solve their points one
+after another in increasing value order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,22 +118,18 @@ def cmd_sweep(args) -> int:
                      if v.strip() != ""),
         mechanisms=tuple(m.strip() for m in args.mechanisms.split(",")))
 
-    def solve_point(value):
+    rows = []
+    for value in sorted(spec.values):
         point = spec.apply(scenario, value)
-        return [(value, m, solve_ne(point, m)) for m in spec.mechanisms]
-
-    with ThreadPoolExecutor(max_workers=min(8, len(spec.values))) as pool:
-        batches = list(pool.map(solve_point, spec.values))
-    batches.sort(key=lambda batch: batch[0][0])
+        rows += [(value, m, solve_ne(point, m)) for m in spec.mechanisms]
 
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["value", "mechanism", "capacity_gw", "residual"])
-        for batch in batches:
-            for value, mechanism, result in batch:
-                writer.writerow([repr(value), mechanism,
-                                 repr(result.capacity), repr(result.residual)])
-    print(f"wrote {sum(len(b) for b in batches)} rows to {args.out}")
+        for value, mechanism, result in rows:
+            writer.writerow([repr(value), mechanism,
+                             repr(result.capacity), repr(result.residual)])
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

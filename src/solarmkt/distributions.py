@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DEFAULT_D_MAX, gauss_legendre_rule, sup_level_set
+from .numerics import (DEFAULT_D_MAX, gauss_legendre_panels,
+                       gauss_legendre_rule, sup_level_set)
 
 __all__ = [
     "GenerationDistribution",
@@ -257,7 +258,7 @@ class GenerationDistribution:
             return x, w / (self.hi - self.lo)
         edges = self.grid[(self.grid > lo) & (self.grid < hi)]
         edges = np.concatenate(([lo], edges, [hi]))
-        xs, ws = _leggauss_cells(edges)
+        xs, ws = gauss_legendre_panels(edges, _CELL_ORDER)
         return xs, ws * np.interp(xs, self.grid, self.density)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -270,16 +271,8 @@ class GenerationDistribution:
         return np.interp(u, self._cum0, self.grid)
 
 
+#: Gauss-Legendre order per grid cell of a tabulated density.
 _CELL_ORDER = 4
-_CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_ORDER)
-
-
-def _leggauss_cells(edges: np.ndarray):
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    xs = (mid[:, None] + half[:, None] * _CELL_X[None, :]).ravel()
-    ws = (half[:, None] * _CELL_W[None, :]).ravel()
-    return xs, ws
 
 
 @dataclass(frozen=True)

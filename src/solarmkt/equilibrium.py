@@ -72,12 +72,6 @@ class AllocationRule:
     max_avg_premium: float
 
 
-def _capacity_scale(scenario: Scenario) -> float:
-    scales = [p.load / p.generation.mean for p in scenario.periods
-              if p.generation.mean > 0.0]
-    return max(scales) if scales else 1.0
-
-
 def _monotone_on_grid(fn, lo: float, hi: float, points: int = 9) -> bool:
     grid = np.linspace(lo, hi, points)
     vals = np.array([fn(c) for c in grid])
@@ -93,7 +87,7 @@ def _solve_characteristic(scenario: Scenario, mechanism: str,
     def residual(c: float) -> float:
         return unit_revenue_rt(scenario, mechanism, c) - pi0
 
-    scale = _capacity_scale(scenario)
+    scale = scenario.capacity_scale
     lo = 1e-9 * scale
     r_lo = residual(lo)
     if r_lo < 0.0:
@@ -115,19 +109,22 @@ def _solve_characteristic(scenario: Scenario, mechanism: str,
 
 
 def _solve_cb(scenario: Scenario, d_max: float) -> EquilibriumResult:
-    """Capacity demanded at the rental price that just recovers capital cost."""
+    """Capacity demanded at the rental price that just recovers capital cost.
+
+    A unit rented at pi0 * horizon / t_tilde per planning window earns
+    exactly pi0 over the panel lifetime, so the capacity is one
+    evaluation of aggregate rental demand at that price and its
+    zero-profit residual is zero by construction.  No clearing solve is
+    needed; ``clear_cb`` serves verification and the library API.
+    """
     target_price = scenario.pi0 * scenario.horizon / scenario.t_tilde
     capacity = aggregate_demand_cb(scenario, target_price, d_max=d_max)
     if capacity <= 0.0:
         return EquilibriumResult(mechanism="cb", capacity=0.0,
                                  residual=-scenario.pi0, bracket=(0.0, 0.0),
                                  iterations=0, viable=False)
-    implied = clear_cb(scenario, capacity, d_max=d_max)
-    residual = scenario.period_scale * capacity * implied.price \
-        - scenario.pi0 * capacity
-    return EquilibriumResult(mechanism="cb", capacity=capacity,
-                             residual=residual, bracket=(0.0, d_max),
-                             iterations=0, viable=True)
+    return EquilibriumResult(mechanism="cb", capacity=capacity, residual=0.0,
+                             bracket=(0.0, d_max), iterations=0, viable=True)
 
 
 def solve_ne(scenario: Scenario, mechanism: str, *,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import PeriodProfile, PremiumDistribution
 from .numerics import (DEFAULT_D_MAX, ConvergenceError, NoEquilibriumError,
-                       bisect_decreasing, gauss_legendre_rule, sup_level_set)
+                       bisect_decreasing, gauss_legendre_panels, sup_level_set)
 
 __all__ = [
     "RT_MECHANISMS",
@@ -47,11 +47,15 @@ __all__ = [
 RT_MECHANISMS = ("srt", "prt")
 MECHANISMS = ("srt", "prt", "cb")
 
-#: Gauss-Legendre order for integrals over the premium quantile axis.
-PREMIUM_QUAD_ORDER = 96
-
 #: Gauss-Legendre order for revenue integrals against analytic densities.
 REVENUE_QUAD_ORDER = 64
+
+#: Gauss-Legendre order of each panel of the contract-demand quadrature.
+CB_PANEL_ORDER = 8
+
+#: Equal-width panels the contract-demand quadrature lays over its
+#: support, on top of the breakpoints and generation knots.
+CB_MIN_PANELS = 32
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,13 @@ class Scenario:
     def period_scale(self) -> float:
         """Lifetime-per-period scaling: t_tilde / total weight."""
         return self.t_tilde / self.horizon
+
+    @property
+    def capacity_scale(self) -> float:
+        """Largest per-period L / E[G]: the capacity that covers mean load."""
+        scales = [p.load / p.generation.mean for p in self.periods
+                  if p.generation.mean > 0.0]
+        return max(scales) if scales else 1.0
 
     def with_epsilon(self, epsilon: float) -> "Scenario":
         return replace(self, premium=self.premium.with_epsilon(epsilon))
@@ -203,6 +214,23 @@ def revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     return c * unit_revenue_rt(scenario, mechanism, c)
 
 
+def _cb_value_terms(scenario: Scenario, d):
+    """(A(d), B(d)) with w_v(d) = A(d) + v B(d), the rented-unit value.
+
+    A sums the avoided backstop cost on the energy a unit covers and B
+    the energy itself; both are non-increasing in d.  At d = 0 the cut
+    L/d is infinite and the truncated means are the full means.
+    """
+    d = np.asarray(d, dtype=float)
+    a = b = 0.0
+    with np.errstate(divide="ignore"):
+        for period in scenario.periods:
+            mu = period.generation.partial_first_moment(period.load / d)
+            a = a + period.weight * period.utility_price * mu
+            b = b + period.weight * mu
+    return a, b
+
+
 def cb_unit_value(scenario: Scenario, v, d):
     """Whole-window expected value of one rented capacity unit, w(d).
 
@@ -213,23 +241,31 @@ def cb_unit_value(scenario: Scenario, v, d):
     """
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
-    total = np.zeros(np.broadcast(v, d).shape)
-    for period in scenario.periods:
-        mu = period.generation.truncated_mean(d, period.load)
-        total = total + period.weight * (period.utility_price + v) * mu
-    return total
+    if np.any(~np.isfinite(d)) or np.any(d < 0.0):
+        raise ValueError("capacity must be finite and non-negative")
+    a, b = _cb_value_terms(scenario, d)
+    return a + v * b
 
 
 def _cb_demand_profile(scenario: Scenario, vs, pi: float,
                        d_max: float = DEFAULT_D_MAX) -> np.ndarray:
-    """Demanded capacity per buyer type at rental price pi (vectorized)."""
+    """Demanded capacity per buyer type at rental price pi (vectorized).
+
+    The level sets are searched in units of the capacity scale, so the
+    bisection tolerance is relative to the capacities involved.
+    """
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    choke = cb_unit_value(scenario, vs, np.zeros_like(vs))
+    scale = scenario.capacity_scale
+
+    def value(s):
+        a, b = _cb_value_terms(scenario, s * scale)
+        return a + vs * b
+
+    choke = value(0.0)
     priced_out = pi > choke * (1.0 + 1e-12) + 1e-300
     targets = np.minimum(pi, choke)
-    sup = sup_level_set(lambda d: cb_unit_value(scenario, vs, d), targets,
-                        0.0, d_max)
-    return np.where(priced_out, 0.0, sup)
+    sup = sup_level_set(value, targets, 0.0, d_max / scale)
+    return np.where(priced_out, 0.0, np.minimum(sup * scale, d_max))
 
 
 def individual_demand_cb(scenario: Scenario, v_i: float, pi: float, *,
@@ -242,36 +278,63 @@ def individual_demand_cb(scenario: Scenario, v_i: float, pi: float, *,
     return float(_cb_demand_profile(scenario, [v_i], pi, d_max)[0])
 
 
+def _generation_knots(scenario: Scenario) -> np.ndarray:
+    """Capacities L/g where some period's truncated mean has a kink or jump.
+
+    These are the tabulated grid nodes, the ends of a uniform support
+    and the atom of a point mass, each mapped through d = L/g.
+    """
+    knots = []
+    for period in scenario.periods:
+        gen = period.generation
+        if gen.kind == "tabulated":
+            g = gen.grid
+        elif gen.kind == "uniform":
+            g = np.array([gen.lo, gen.hi])
+        else:
+            g = np.array([gen.value])
+        knots.append(period.load / g[g > 0.0])
+    return np.concatenate(knots)
+
+
 def aggregate_demand_cb(scenario: Scenario, pi: float, *,
-                        quad_order: int = PREMIUM_QUAD_ORDER,
                         d_max: float = DEFAULT_D_MAX) -> float:
     """Total rented capacity at price pi, integrated over buyer types.
 
-    The integral runs over the premium distribution's quantile axis so
-    analytic and empirical premium models are handled uniformly.  Buyer
-    types whose whole-window value of the first unit falls short of the
-    price demand nothing, so the integral starts at their boundary
-    quantile; this keeps near-choke demand accurate when only a sliver
-    of high-premium buyers stays in the market.
+    A buyer's rented-unit value is affine in its premium,
+    w_v(t) = A(t) + v B(t), so it rents at least t exactly when v is at
+    least v*(t) = (pi - A(t)) / B(t).  The layer-cake identity then
+    gives the demand as one integral over capacity, with no inner root
+    per buyer type:
+
+        D(pi) = t1 + integral over [t1, t2] of P(V >= v*(t)) dt,
+
+    where t1 and t2 are the demands of the zero-premium and the
+    top-premium buyer.  Those two, and for an empirical premium the
+    demands of every interior table value, come from one vectorized
+    level-set search; Gauss panels break there and at the generation
+    knots, where the integrand has kinks or jumps.  Every buyer's demand
+    is capped at d_max, so this is E[min(d_V, d_max)].
     """
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
     prem = scenario.premium
-    base_value = sum(p.weight * p.utility_price * p.generation.mean
-                     for p in scenario.periods)
-    value_per_premium = sum(p.weight * p.generation.mean
-                            for p in scenario.periods)
-    p_lo = 0.0
-    if pi > base_value:
-        if value_per_premium <= 0.0:
-            return 0.0
-        v_cut = (pi - base_value) / value_per_premium
-        p_lo = 1.0 - float(prem.survival(v_cut, weak=True))
-        if p_lo >= 1.0:
-            return 0.0
-    p, w = gauss_legendre_rule(p_lo, 1.0, quad_order)
-    vs = prem.quantile(p)
-    return float(w @ _cb_demand_profile(scenario, vs, pi, d_max))
+    levels = [0.0, prem.epsilon * prem.v_bar]
+    if prem.kind == "empirical":  # the table runs from 0 to v_bar
+        levels = np.unique(prem.epsilon * prem.quantiles)
+    breaks = _cb_demand_profile(scenario, levels, pi, d_max)
+    t1, t2 = float(breaks[0]), float(breaks[-1])
+    if t2 <= t1:
+        return t1
+    knots = _generation_knots(scenario)
+    edges = np.unique(np.concatenate((
+        np.clip(breaks, t1, t2), knots[(knots > t1) & (knots < t2)],
+        np.linspace(t1, t2, CB_MIN_PANELS + 1))))
+    t, w = gauss_legendre_panels(edges, CB_PANEL_ORDER)
+    a, b = _cb_value_terms(scenario, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_star = np.where(b > 0.0, (pi - a) / b, np.inf)
+    return t1 + float(w @ prem.survival(v_star, weak=True))
 
 
 def clear_cb(scenario: Scenario, c: float, *, d_max: float = DEFAULT_D_MAX,

@@ -49,6 +49,17 @@ def gauss_legendre_rule(lo: float, hi: float, order: int = 64):
     return lo + half * (x + 1.0), half * w
 
 
+def gauss_legendre_panels(edges, order: int):
+    """Composite Gauss-Legendre nodes and weights, one panel per cell of ``edges``."""
+    x, w = _leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    ws = (half[:, None] * w[None, :]).ravel()
+    return xs, ws
+
+
 def fixed_quad(fn, lo: float, hi: float, order: int = 64) -> float:
     """Single-panel Gauss-Legendre integral of a vectorized callable."""
     x, w = gauss_legendre_rule(lo, hi, order)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from solarmkt import load_scenario, solve_ne
 from solarmkt.cli import main
 
 DESK_CONFIG = {
@@ -63,6 +64,22 @@ def test_solve_zero_scale_collapses(tmp_path):
     caps = json.loads(out.read_text())["capacities_gw"]
     values = list(caps.values())
     assert max(values) - min(values) <= 1e-6 * max(values)
+
+
+def test_solve_at_the_viability_boundary(tmp_path):
+    # eps=0, pi0=0.5: the capital cost equals the backstop value of the
+    # mean output, which the truncated mean keeps up to capacity 1, so
+    # every design invests exactly 1; the cb capacity sits on the flat
+    # stretch of the demand curve
+    config = _config_with(tmp_path, "boundary.json", epsilon=0.0,
+                          pi0_usd_per_kw=0.5)
+    scenario = load_scenario(config)
+    for mech in ("srt", "prt", "cb", "opt"):
+        assert solve_ne(scenario, mech).capacity == pytest.approx(1.0, rel=1e-9)
+    out = tmp_path / "out.json"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    caps = json.loads(out.read_text())["capacities_gw"]
+    assert all(c == pytest.approx(1.0, rel=1e-9) for c in caps.values())
 
 
 def test_solve_unattractive_cost_reports_nonviable(tmp_path):
