@@ -137,7 +137,7 @@ def _slope_terms(scenario: Scenario, c0: float):
         gen, load = period.generation, period.load
         cut = load / c0
         nodes, weights = gen.quad_nodes(0.0, min(cut, gen.support_hi), order=64)
-        if nodes.size:
+        if nodes.size and gen.support_hi > 0.0:  # dark: no premium
             frac = np.clip(c0 * nodes / load, 0.0, 1.0)
             numerator += period.weight * float(
                 weights @ (prem.base_complementary_quantile(frac) * nodes))

@@ -349,7 +349,8 @@ class PremiumDistribution:
     def base_complementary_quantile(self, p):
         """Inverse survival of the unscaled base premium (non-increasing)."""
         p = np.asarray(p, dtype=float)
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        lo, hi = (float(p.min()), float(p.max())) if p.size else (0.0, 0.0)
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("probability outside [0, 1]")
         p = np.clip(p, 0.0, 1.0)
         if self.v_bar == 0.0:
@@ -357,10 +358,24 @@ class PremiumDistribution:
         if self.kind == "uniform":
             return self.v_bar * (1.0 - p)
         if self.kind == "truncated_exponential":
-            # steep rates round the truncation mass to 1 and overflow the
-            # formula at p=0; the true value never exceeds the support top
+            # log1p(-y), y = (1 - p) k, is within a few ulp up to y = 15/16
+            # but cancels as y nears 1 (p near 0 under steep rates).  There
+            # 1 - y is taken as e^-x + p k (x = rate * v_bar), a sum without
+            # cancellation; the switch sits near the top so that few
+            # elements take that indexed path, and none unless the
+            # smallest p reaches it.  Steep rates round e^-x to 0 and the
+            # log at p = 0 to -inf; the true value never exceeds the
+            # support top.
+            k = self._texp_k
+            flat = np.atleast_1d(p)
+            y = (1.0 - flat) * k
             with np.errstate(divide="ignore"):
-                out = -np.log1p(-(1.0 - p) * self._texp_k) / self.rate
+                log_tail = np.log1p(-y)
+                if (1.0 - max(lo, 0.0)) * k > 15.0 / 16.0:
+                    top = np.flatnonzero(y > 15.0 / 16.0)
+                    log_tail[top] = np.log(math.exp(-self.rate * self.v_bar)
+                                           + flat[top] * k)
+            out = -log_tail.reshape(np.shape(p)) / self.rate
             return np.minimum(out, self.v_bar)
         return np.interp(1.0 - p, self._p_grid, self.quantiles)
 

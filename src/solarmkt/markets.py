@@ -149,6 +149,30 @@ def _check_capacity(c: float) -> float:
     return c
 
 
+def _clear_rt_draws(scenario: Scenario, period: PeriodProfile,
+                    mechanism: str, c: float, g: np.ndarray):
+    """Real-time clearing of one period for an array of realizations g.
+
+    Returns (abundant, price, seller_quantity, served_fraction,
+    threshold) as arrays shaped like g.  ``threshold`` is None for
+    ``srt`` and NaN on abundant draws for ``prt``; the prt thresholds
+    come from one complementary-quantile call.  Supply equal to the
+    load (c*g == L) counts as limited.
+    """
+    load = period.load
+    supply = c * g
+    abundant = supply > load
+    served = np.where(abundant, 1.0, supply / load)
+    quantity = np.where(abundant, load, supply)
+    if mechanism == "srt":
+        return (abundant, np.where(abundant, 0.0, period.utility_price),
+                quantity, served, None)
+    quantile = scenario.premium.complementary_quantile(served)
+    threshold = np.where(abundant, np.nan, quantile)
+    price = np.where(abundant, 0.0, period.utility_price + threshold)
+    return abundant, price, quantity, served, threshold
+
+
 def clear_rt(scenario: Scenario, period_index: int, mechanism: str,
              c: float, g: float) -> ClearingOutcome:
     """Competitive equilibrium of one period given the realized output g.
@@ -166,18 +190,14 @@ def clear_rt(scenario: Scenario, period_index: int, mechanism: str,
     if not math.isfinite(g) or g < 0.0:
         raise ValueError(f"realization must be finite and non-negative, got {g}")
 
-    period = scenario.periods[period_index]
-    load = period.load
-    supply = c * g
-    if supply > load:
-        return ClearingOutcome(mechanism, "abundant", 0.0, load, None, 1.0)
-    served = supply / load
-    if mechanism == "srt":
-        return ClearingOutcome(mechanism, "limited", period.utility_price,
-                               supply, None, served)
-    threshold = float(scenario.premium.complementary_quantile(served))
-    return ClearingOutcome(mechanism, "limited", period.utility_price + threshold,
-                           supply, threshold, served)
+    abundant, price, quantity, served, threshold = _clear_rt_draws(
+        scenario, scenario.periods[period_index], mechanism, c, np.array([g]))
+    limited = not abundant[0]
+    return ClearingOutcome(
+        mechanism, "limited" if limited else "abundant", float(price[0]),
+        float(quantity[0]),
+        float(threshold[0]) if limited and threshold is not None else None,
+        float(served[0]))
 
 
 def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
@@ -199,7 +219,7 @@ def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
         if with_premium:
             upper = load / c if c > 0.0 else gen.support_hi
             nodes, weights = gen.quad_nodes(0.0, upper, order=REVENUE_QUAD_ORDER)
-            if nodes.size:
+            if nodes.size and gen.support_hi > 0.0:  # dark: no premium
                 frac = np.clip(c * nodes / load, 0.0, 1.0)
                 term += float(weights @ (prem.complementary_quantile(frac) * nodes))
         total += period.weight * term
@@ -429,43 +449,54 @@ class CeVerification:
 
 def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
                price_perturbation):
+    """Deviation and clearing check of a real-time mechanism, one array
+    pass per period over its ``sample_count`` draws.
+
+    A buyer's payoff (v - p) q - u (L - q) is affine in q, so its best
+    point of the deviation grid linspace(0, L, grid_size) is an end
+    point, q = 0 or q = L; both are exact grid points and are evaluated
+    with the grid's own expressions.  Served buyers hold q = L, so their
+    gain max(0, -(v - p + u) L) is non-increasing in v; unserved buyers
+    hold q = 0, so theirs, max(0, (v - p + u) L), is non-decreasing.
+    Over the sorted buyer grid only the two types next to the threshold
+    can attain the largest gain: the lowest served and the highest
+    unserved.  Abundant draws serve everyone, so the lowest type decides
+    there, and in ``srt`` every type values solar at zero, so one type
+    stands for all.
+    """
     prem = scenario.premium
-    p_grid = np.linspace(0.0, 1.0, grid_size)
-    buyer_vs = np.asarray(prem.quantile(p_grid), dtype=float)
+    buyer_vs = np.sort(np.asarray(
+        prem.quantile(np.linspace(0.0, 1.0, grid_size)), dtype=float))
     max_gain = 0.0
     max_clear = 0.0
-    for index, period in enumerate(scenario.periods):
-        load = period.load
-        q_dev = np.linspace(0.0, load, grid_size)
+    for period in scenario.periods:
+        load, u = period.load, period.utility_price
         draws = period.generation.sample(rng, sample_count)
-        v_eff = buyer_vs if mechanism == "prt" else np.zeros_like(buyer_vs)
-        for g in draws:
-            outcome = clear_rt(scenario, index, mechanism, c, g)
-            price = outcome.price * (1.0 + price_perturbation)
-            supply = c * g
-            if outcome.regime == "abundant":
-                assigned = np.full_like(buyer_vs, load)
-                clear_violation = 0.0
-            elif mechanism == "srt":
-                assigned = np.full_like(buyer_vs, supply)
-                clear_violation = 0.0
-            else:
-                thr = outcome.buyer_threshold
-                assigned = np.where(buyer_vs >= thr, load, 0.0)
-                served_lo = load * float(prem.survival(thr, weak=False))
-                served_hi = load * float(prem.survival(thr, weak=True))
-                clear_violation = max(0.0, served_lo - supply,
-                                      supply - served_hi) / max(1.0, load)
-            dev = (v_eff[:, None] - price) * q_dev[None, :] \
-                - period.utility_price * (load - q_dev)[None, :]
-            held = (v_eff - price) * assigned \
-                - period.utility_price * (load - assigned)
-            max_gain = max(max_gain, float((dev.max(axis=1) - held).max()))
-            # sellers: payoff price * q on [0, supply]
-            seller_assigned = outcome.seller_quantity
-            seller_best = price * supply if price > 0.0 else 0.0
-            max_gain = max(max_gain, seller_best - price * seller_assigned)
-            max_clear = max(max_clear, clear_violation)
+        abundant, price, quantity, _, thr = _clear_rt_draws(
+            scenario, period, mechanism, c, draws)
+        price = price * (1.0 + price_perturbation)
+        supply = c * draws
+        if thr is None:  # srt
+            v, assigned = 0.0, quantity
+        else:
+            j = np.searchsorted(buyer_vs, np.where(abundant, -np.inf, thr))
+            v = buyer_vs[np.clip(np.stack((j - 1, j)), 0, grid_size - 1)]
+            assigned = np.where(abundant | (v >= thr), load, 0.0)
+            limited = ~abundant
+            t, s = thr[limited], supply[limited]
+            served_lo = load * prem.survival(t, weak=False)
+            served_hi = load * prem.survival(t, weak=True)
+            clear = np.maximum(served_lo - s, s - served_hi) / max(1.0, load)
+            max_clear = max(max_clear, float(clear.max(initial=0.0)))
+        # the grid's own payoff expressions at q = 0 and at q = L
+        dev_lo = (v - price) * 0.0 - u * (load - 0.0)
+        dev_hi = (v - price) * load - u * (load - load)
+        held = (v - price) * assigned - u * (load - assigned)
+        buyer_gain = np.maximum(dev_lo, dev_hi) - held
+        # sellers: payoff price * q on [0, supply]
+        seller_gain = np.where(price > 0.0, price * supply, 0.0) - price * quantity
+        max_gain = max(max_gain, float(buyer_gain.max()),
+                       float(seller_gain.max()))
     return max_gain, max_clear, {}
 
 
@@ -506,7 +537,14 @@ def verify_ce(scenario: Scenario, mechanism: str, c: float, sample_count: int,
     """Check the claimed equilibrium against grid deviations.
 
     Real-time mechanisms are checked on ``sample_count`` seeded output
-    realizations per period.  The contract-based market trades ex ante
+    realizations per period, all draws of a period in one array pass.
+    Every buyer's payoff there is affine in its quantity, so the best
+    grid deviation is an end point of the grid, and the threshold
+    allocation makes the gain monotone in the premium on each side of
+    the threshold; the two buyer types next to it therefore attain the
+    largest gain of the whole grid (see ``_verify_rt``).  The check's
+    result is that of every buyer type against every grid point, up to
+    rounding.  The contract-based market trades ex ante
     on expectations, so its check is a single deterministic pass (the
     sample count does not enter).  ``price_perturbation`` corrupts the
     clearing price on purpose, to confirm the checker catches broken

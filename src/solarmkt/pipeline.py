@@ -21,11 +21,11 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import (GenerationDistribution, PeriodProfile,
                             PremiumDistribution)
 from .markets import Scenario
+from .numerics import bisect_decreasing
 
 __all__ = [
     "IrradiationRecord",
@@ -188,20 +188,17 @@ def load_premium_survey(path, monthly_kwh: float,
     return np.asarray(values, dtype=float) * inflation_factor / monthly_kwh
 
 
-def _truncated_exp_mean(rate: float, v_bar: float) -> float:
-    x = rate * v_bar
-    if x > 700.0:  # expm1 overflow; tail mass is numerically zero
-        return 1.0 / rate
-    return 1.0 / rate - v_bar / math.expm1(x)
-
-
 def fit_truncated_exponential(samples) -> PremiumDistribution:
     """Maximum-likelihood truncated exponential, truncated at the sample max.
 
     The likelihood score reduces to matching the model mean to the
-    sample mean, a monotone one-dimensional root in the rate.  Samples
-    whose mean is not below half the maximum (the flat-density limit)
-    are rejected as degenerate.
+    sample mean, a monotone one-dimensional root in the rate.  It is
+    bisected in s = log(rate * v_bar), so the tolerance is relative and
+    free of units.  At the lower end, s = log(1e-9), the model mean is
+    v_bar / 2 to 2e-10 relative, above any accepted sample mean, so the
+    bracket takes its sign from that limit instead of from an evaluation
+    that cancels there.  Samples whose mean is not below half the maximum
+    (the flat-density limit) are rejected as degenerate.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
@@ -216,11 +213,18 @@ def fit_truncated_exponential(samples) -> PremiumDistribution:
         raise ValueError(
             f"sample mean {mean:g} is not below half the maximum {v_bar:g}; "
             "no positive-rate truncated exponential fits")
-    rate_lo, rate_hi = 1e-9 / v_bar, 2.0 / mean
-    while _truncated_exp_mean(rate_hi, v_bar) > mean:
-        rate_hi *= 4.0
-    rate = brentq(lambda r: _truncated_exp_mean(r, v_bar) - mean,
-                  rate_lo, rate_hi, xtol=1e-14, rtol=1e-14)
+
+    def excess_mean(s):
+        model = PremiumDistribution.truncated_exponential(
+            math.exp(s) / v_bar, v_bar)
+        return model.base_mean - mean
+
+    s_hi = math.log(2.0 * v_bar / mean)
+    while excess_mean(s_hi) > 0.0:
+        s_hi += math.log(4.0)
+    s, _ = bisect_decreasing(excess_mean, math.log(1e-9), s_hi,
+                             f_lo=0.5 * v_bar - mean)
+    rate = math.exp(s) / v_bar
     fitted = PremiumDistribution.truncated_exponential(rate=rate, v_bar=v_bar)
     logger.info("truncated-exponential fit: rate=%.6g, v_bar=%.6g, mean=%.6g",
                 rate, v_bar, fitted.base_mean)

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import solarmkt
 from solarmkt import load_scenario, solve_ne
 from solarmkt.cli import main
 
@@ -215,3 +220,16 @@ def test_report_writes_table_and_ordering(desk_config, tmp_path):
     assert len(ordering) == 5
     assert all(r["srt_le_prt"] == "True" for r in ordering)
     assert all(r["prt_eq_opt"] == "True" for r in ordering)
+
+
+# ---------------------------------------------------------------------- import
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = str(Path(solarmkt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, solarmkt.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

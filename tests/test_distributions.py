@@ -1,6 +1,7 @@
 """Generation and premium distribution transforms against brute-force oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ def test_complementary_quantile_exhausted_at_top():
         assert complementary_quantile(prem, 1.0) == pytest.approx(0.0, abs=1e-12)
         assert complementary_quantile(prem, 0.0) == pytest.approx(
             prem.epsilon * prem.v_bar, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.5, 5.0, 28.0, 60.0, 300.0])
+def test_truncated_exponential_quantile_is_accurate_near_the_top(x):
+    # reference: -log(1 - (1 - p) k) / rate in 200-digit decimals, which
+    # resolve 1 - k = e^-x even at x = 300
+    v_bar = 0.7
+    rate = x / v_bar
+    prem = PremiumDistribution.truncated_exponential(rate, v_bar)
+    p = np.array([0.0, 1e-15, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0])
+    got = prem.complementary_quantile(p)
+    with localcontext() as ctx:
+        ctx.prec = 200
+        r = Decimal(rate)
+        k = 1 - (-r * Decimal(v_bar)).exp()
+        ref = [float(-(1 - (1 - Decimal(q)) * k).ln() / r) for q in p]
+    assert got[-1] == 0.0
+    assert got[:-1] == pytest.approx(ref[:-1], rel=1e-14, abs=0.0)
 
 
 def test_complementary_quantile_zero_scale():

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ def test_truncated_exponential_score_identity():
     samples = _sample_truncated_exp(rng, rate=10.0, v_bar=0.5, n=400)
     fitted = fit_truncated_exponential(samples)
     assert fitted.base_mean == pytest.approx(samples.mean(), rel=1e-10)
+
+
+@pytest.mark.parametrize("v_bar", [1e-6, 0.37, 1e6])
+def test_truncated_exponential_fit_is_free_of_units(v_bar):
+    # samples v_bar, a, 0, ..., 0 whose mean is the model mean at x,
+    # computed in 60-digit decimals; the fit must return rate*v_bar = x
+    for x in (0.05, 0.3, 1.0, 5.69, 28.0, 60.0, 300.0):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big_x = Decimal(x)
+            mean = float(Decimal(v_bar) * (1 / big_x - 1 / (big_x.exp() - 1)))
+        n = math.ceil(v_bar / mean)
+        samples = np.zeros(n)
+        samples[0], samples[1] = v_bar, n * mean - v_bar
+        fitted = fit_truncated_exponential(samples)
+        assert fitted.rate * v_bar == pytest.approx(x, rel=1e-11)
 
 
 def test_truncated_exponential_rejects_degenerate():
