@@ -299,14 +299,13 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
         res = solved[eps]
         c_srt, c_prt = res["srt"].capacity, res["prt"].capacity
         c_cb, c_opt = res["cb"].capacity, res["opt"].capacity
-        scale = max(1.0, c_prt)
-        srt_le_prt = c_srt <= c_prt + ORDER_RTOL * scale
-        prt_eq_opt = abs(c_prt - c_opt) <= 1e-12 * scale
-        prt_le_cb = c_prt <= c_cb + ORDER_RTOL * scale
+        srt_le_prt = c_srt <= c_prt + ORDER_RTOL * c_prt
+        prt_eq_opt = abs(c_prt - c_opt) <= 1e-12 * c_prt
+        prt_le_cb = c_prt <= c_cb + ORDER_RTOL * c_prt
         eps0_equal = None
         if eps == 0.0:
             caps = (c_srt, c_prt, c_cb, c_opt)
-            eps0_equal = (max(caps) - min(caps)) <= EPS0_RTOL * max(1.0, max(caps))
+            eps0_equal = (max(caps) - min(caps)) <= EPS0_RTOL * max(caps)
             passed = passed and eps0_equal
         gap_err = None
         gap_ok = None

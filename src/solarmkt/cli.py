@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, required=True)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--grid", type=int, default=201)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--tol", type=float, default=1e-6,
+                          help="relative tolerance: gains per backstop bill, "
+                               "clearing violations per load or capacity")
     p_verify.add_argument("--perturb-price", type=float, default=0.0,
                           help="debug: corrupt the clearing price by this "
                                "relative amount to confirm detection")

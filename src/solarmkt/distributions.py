@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (DEFAULT_D_MAX, gauss_legendre_panels,
-                       gauss_legendre_rule, sup_level_set)
+from .numerics import (gauss_legendre_panels, gauss_legendre_rule,
+                       sup_level_set)
 
 __all__ = [
     "GenerationDistribution",
@@ -190,14 +190,21 @@ class GenerationDistribution:
         return self._tab_partials(x)[0]
 
     def partial_first_moment(self, x):
-        """Integral of g dF(g) over g <= x (weak inequality for atoms)."""
+        """Integral of g dF(g) over g <= x (weak inequality for atoms).
+
+        From the top of the support up it is exactly the mean, so the
+        flat tops of the truncated mean and of the rental value are
+        level in floating point too.
+        """
         x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            xc = np.clip(x, self.lo, self.hi)
-            return 0.5 * (xc ** 2 - self.lo ** 2) / (self.hi - self.lo)
         if self.kind == "point_mass":
             return np.where(x >= self.value, self.value, 0.0)
-        return self._tab_partials(x)[1]
+        if self.kind == "uniform":
+            xc = np.clip(x, self.lo, self.hi)
+            m1 = 0.5 * (xc ** 2 - self.lo ** 2) / (self.hi - self.lo)
+        else:
+            m1 = self._tab_partials(x)[1]
+        return np.where(x >= self.support_hi, self.mean, m1)
 
     def truncated_mean(self, d, load: float):
         """E[G 1{d G <= L}]: expected output counted only under scarcity.
@@ -210,20 +217,16 @@ class GenerationDistribution:
         if np.any(~np.isfinite(d)) or np.any(d < 0.0):
             raise ValueError("capacity must be finite and non-negative")
         with np.errstate(divide="ignore", over="ignore"):
-            cut = np.where(d > 0.0, load / np.maximum(d, 1e-300), np.inf)
-        out = np.where(d > 0.0,
-                       self.partial_first_moment(np.where(np.isfinite(cut), cut,
-                                                          self.support_hi)),
-                       self.mean)
+            out = self.partial_first_moment(load / d)  # the mean at d = 0
         return out if out.ndim else float(out)
 
-    def truncated_mean_inverse(self, z, load: float, *,
-                               d_max: float = DEFAULT_D_MAX):
+    def truncated_mean_inverse(self, z, load: float):
         """Extended inverse of the truncated mean.
 
-        Returns 0 above the full mean, otherwise the supremum of the
-        level set {d : truncated_mean(d) = z}, searched on [0, d_max]
-        (flat level sets at the top of the bracket return d_max).
+        Returns 0 above the full mean, infinity at z = 0 (the truncated
+        mean never falls below 0, so that level set is unbounded), and
+        otherwise the supremum of the level set {d : truncated_mean(d)
+        >= z}, searched in units of L / mean.
         """
         z = np.asarray(z, dtype=float)
         if np.any(~np.isfinite(z)) or np.any(z < 0.0):
@@ -231,10 +234,15 @@ class GenerationDistribution:
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         mean = self.mean
-        above = z > mean * (1.0 + 1e-12) + 1e-300
-        zc = np.minimum(z, mean)
-        sup = sup_level_set(lambda d: self.truncated_mean(d, load), zc, 0.0, d_max)
-        out = np.where(above, 0.0, sup)
+        above = z > mean * (1.0 + 1e-12)
+        out = np.where(above, 0.0, np.inf)
+        live = ~above & (z > 0.0)
+        if live.any():
+            scale = load / mean
+            sup, _, _ = sup_level_set(
+                lambda s: self.truncated_mean(s * scale, load),
+                np.minimum(z[live], mean), 0.0, 1.0)
+            out[live] = sup * scale
         return float(out[0]) if scalar else out
 
     def quad_nodes(self, lo: float, hi: float, *, order: int = 64):
@@ -273,6 +281,12 @@ class GenerationDistribution:
 
 #: Gauss-Legendre order per grid cell of a tabulated density.
 _CELL_ORDER = 4
+
+
+#: Below this rate * v_bar the truncated-exponential mean takes the
+#: series v_bar (1/2 - x/12 + x^3/720); its first dropped term,
+#: x^5/30240, is below half an ulp of the mean there.
+_TEXP_SERIES_CUT = 4.0e-3
 
 
 @dataclass(frozen=True)
@@ -404,6 +418,8 @@ class PremiumDistribution:
             x = self.rate * self.v_bar
             if x > 700.0:  # expm1 overflow; truncation correction is 0 there
                 return 1.0 / self.rate
+            if x < _TEXP_SERIES_CUT:  # 1/x - 1/expm1(x) cancels here
+                return self.v_bar * (0.5 - x / 12.0 + x ** 3 / 720.0)
             return 1.0 / self.rate - self.v_bar / math.expm1(x)
         q = self.quantiles
         return float(np.trapezoid(q, self._p_grid))
@@ -442,17 +458,21 @@ class PremiumDistribution:
         elif self.kind == "uniform":
             out = self.epsilon * self.v_bar * (s - 0.5 * s * s)
         elif self.kind == "truncated_exponential":
+            # The antiderivative t - t log t, differenced between
+            # t0 = e^-x and t1 = e^-x + s k (x = rate * v_bar), is
+            # s k (1 + x) - t1 log1p(s k / t0): no 1 - k or 1 - (1 - s) k
+            # to cancel.  Past x = 700, e^-x drops below 1e-304 and the
+            # t0 terms are dropped (t log t -> 0 at t = 0).
             k = self._texp_k
-            t0 = 1.0 - k
-            t1 = 1.0 - (1.0 - s) * k
-
-            def _anti(t):
-                t = np.asarray(t, dtype=float)
+            x = self.rate * self.v_bar
+            sk = s * k
+            if x > 700.0:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    val = t - t * np.log(t)
-                return np.where(t <= 0.0, 0.0, val)  # t log t -> 0 at 0
-
-            out = self.epsilon * (_anti(t1) - _anti(t0)) / (self.rate * k)
+                    diff = np.where(sk > 0.0, sk - sk * np.log(sk), 0.0)
+            else:
+                t0 = math.exp(-x)
+                diff = sk * (1.0 + x) - (t0 + sk) * np.log1p(sk / t0)
+            out = self.epsilon * diff / (self.rate * k)
         else:
             out = self.epsilon * self._empirical_icq(s)
         return out if out.ndim else float(out)
@@ -543,10 +563,9 @@ def truncated_mean(gen: GenerationDistribution, d, load: float):
     return gen.truncated_mean(d, load)
 
 
-def truncated_mean_inverse(gen: GenerationDistribution, z, load: float, *,
-                           d_max: float = DEFAULT_D_MAX):
+def truncated_mean_inverse(gen: GenerationDistribution, z, load: float):
     """Extended inverse of the truncated mean (0 above the full mean)."""
-    return gen.truncated_mean_inverse(z, load, d_max=d_max)
+    return gen.truncated_mean_inverse(z, load)
 
 
 def complementary_quantile(prem: PremiumDistribution, p):

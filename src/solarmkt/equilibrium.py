@@ -12,7 +12,6 @@ exactly rather than to solver tolerance.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,7 @@ import numpy as np
 
 from .markets import (Scenario, aggregate_demand_cb, clear_cb, revenue_rt,
                       unit_revenue_rt)
-from .numerics import (BRACKET_CAP, DEFAULT_D_MAX, bisect_decreasing,
-                       grow_bracket)
+from .numerics import sup_level_set
 
 __all__ = [
     "EquilibriumResult",
@@ -34,8 +32,6 @@ __all__ = [
     "zero_profit_residual",
 ]
 
-logger = logging.getLogger(__name__)
-
 SOLVE_MECHANISMS = ("srt", "prt", "cb", "opt")
 
 
@@ -46,8 +42,10 @@ class EquilibriumResult:
     ``residual`` is the lifetime zero-profit gap (revenue minus capital
     cost) at the returned capacity; when the mechanism is not viable the
     capacity is zero and the residual reports the per-unit profit gap.
-    ``monotone`` records a coarse-grid sanity check of the per-unit
-    revenue curve used for bisection.
+    ``bracket`` is the searched interval after any growth of its upper
+    end, and ``iterations`` counts the revenue evaluations of the search;
+    the contract-based capacity needs no search, so both ends of its
+    bracket are the capacity.
     """
 
     mechanism: str
@@ -56,7 +54,6 @@ class EquilibriumResult:
     bracket: tuple[float, float]
     iterations: int
     viable: bool
-    monotone: bool = True
 
 
 @dataclass(frozen=True)
@@ -72,43 +69,32 @@ class AllocationRule:
     max_avg_premium: float
 
 
-def _monotone_on_grid(fn, lo: float, hi: float, points: int = 9) -> bool:
-    grid = np.linspace(lo, hi, points)
-    vals = np.array([fn(c) for c in grid])
-    slack = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    return bool(np.all(np.diff(vals) <= slack))
-
-
 def _solve_characteristic(scenario: Scenario, mechanism: str,
                           label: str) -> EquilibriumResult:
-    """Bisect the per-unit zero-profit condition for a real-time design."""
+    """Largest capacity whose per-unit revenue still covers pi0.
+
+    The per-unit revenue is non-increasing, so the zero-profit capacity
+    is the top of its level set at pi0, searched from a billionth of the
+    capacity scale with the scale itself as the first upper end.
+    """
     pi0 = scenario.pi0
-
-    def residual(c: float) -> float:
-        return unit_revenue_rt(scenario, mechanism, c) - pi0
-
     scale = scenario.capacity_scale
     lo = 1e-9 * scale
-    r_lo = residual(lo)
+    r_lo = unit_revenue_rt(scenario, mechanism, lo) - pi0
     if r_lo < 0.0:
         # Upfront cost unattractive even for the first unit: no investment.
         return EquilibriumResult(mechanism=label, capacity=0.0, residual=r_lo,
                                  bracket=(0.0, lo), iterations=0, viable=False)
-    hi, r_hi = grow_bracket(residual, lo, scale, cap=BRACKET_CAP)
-    root, iters = bisect_decreasing(residual, lo, hi, f_lo=r_lo, f_hi=r_hi)
-    monotone = _monotone_on_grid(
-        lambda c: unit_revenue_rt(scenario, mechanism, c), lo, hi)
-    if not monotone:
-        logger.warning("per-unit revenue for %s is not monotone on the "
-                       "bracket [%g, %g]; returning the bisection root",
-                       label, lo, hi)
+    root, hi, iters = sup_level_set(
+        lambda c: unit_revenue_rt(scenario, mechanism, c), pi0, lo, scale)
+    root = float(root)
     return EquilibriumResult(
         mechanism=label, capacity=root,
         residual=revenue_rt(scenario, mechanism, root) - pi0 * root,
-        bracket=(lo, hi), iterations=iters, viable=True, monotone=monotone)
+        bracket=(lo, float(hi)), iterations=iters, viable=True)
 
 
-def _solve_cb(scenario: Scenario, d_max: float) -> EquilibriumResult:
+def _solve_cb(scenario: Scenario) -> EquilibriumResult:
     """Capacity demanded at the rental price that just recovers capital cost.
 
     A unit rented at pi0 * horizon / t_tilde per planning window earns
@@ -118,17 +104,17 @@ def _solve_cb(scenario: Scenario, d_max: float) -> EquilibriumResult:
     needed; ``clear_cb`` serves verification and the library API.
     """
     target_price = scenario.pi0 * scenario.horizon / scenario.t_tilde
-    capacity = aggregate_demand_cb(scenario, target_price, d_max=d_max)
+    capacity = aggregate_demand_cb(scenario, target_price)
     if capacity <= 0.0:
         return EquilibriumResult(mechanism="cb", capacity=0.0,
                                  residual=-scenario.pi0, bracket=(0.0, 0.0),
                                  iterations=0, viable=False)
     return EquilibriumResult(mechanism="cb", capacity=capacity, residual=0.0,
-                             bracket=(0.0, d_max), iterations=0, viable=True)
+                             bracket=(capacity, capacity), iterations=0,
+                             viable=True)
 
 
-def solve_ne(scenario: Scenario, mechanism: str, *,
-             d_max: float = DEFAULT_D_MAX) -> EquilibriumResult:
+def solve_ne(scenario: Scenario, mechanism: str) -> EquilibriumResult:
     """Nash-equilibrium aggregate capacity under the given market design.
 
     ``opt`` solves the welfare optimum, which shares the differentiated
@@ -138,7 +124,7 @@ def solve_ne(scenario: Scenario, mechanism: str, *,
         raise ValueError(f"unknown mechanism {mechanism!r}; "
                          f"expected one of {SOLVE_MECHANISMS}")
     if mechanism == "cb":
-        return _solve_cb(scenario, d_max)
+        return _solve_cb(scenario)
     if mechanism == "opt":
         return _solve_characteristic(scenario, "prt", "opt")
     return _solve_characteristic(scenario, mechanism, mechanism)

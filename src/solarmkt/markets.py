@@ -23,8 +23,8 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import PeriodProfile, PremiumDistribution
-from .numerics import (DEFAULT_D_MAX, ConvergenceError, NoEquilibriumError,
-                       bisect_decreasing, gauss_legendre_panels, sup_level_set)
+from .numerics import (ConvergenceError, NoEquilibriumError,
+                       gauss_legendre_panels, sup_level_set)
 
 __all__ = [
     "RT_MECHANISMS",
@@ -243,7 +243,7 @@ def _cb_value_terms(scenario: Scenario, d):
     """
     d = np.asarray(d, dtype=float)
     a = b = 0.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for period in scenario.periods:
             mu = period.generation.partial_first_moment(period.load / d)
             a = a + period.weight * period.utility_price * mu
@@ -267,35 +267,41 @@ def cb_unit_value(scenario: Scenario, v, d):
     return a + v * b
 
 
-def _cb_demand_profile(scenario: Scenario, vs, pi: float,
-                       d_max: float = DEFAULT_D_MAX) -> np.ndarray:
+def _cb_demand_profile(scenario: Scenario, vs, pi: float) -> np.ndarray:
     """Demanded capacity per buyer type at rental price pi (vectorized).
 
-    The level sets are searched in units of the capacity scale, so the
-    bisection tolerance is relative to the capacities involved.
+    At price 0 every unit is worth renting, so demand is unbounded.
+    Otherwise the level sets are searched in units of the capacity
+    scale, from [0, 1] with growth, so the tolerance is relative to the
+    capacities involved.
     """
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
+    if pi == 0.0:
+        return np.full(vs.shape, np.inf)
     scale = scenario.capacity_scale
+    a0, b0 = _cb_value_terms(scenario, 0.0)
+    choke = a0 + vs * b0
+    live = pi <= choke * (1.0 + 1e-12)
+    out = np.zeros(vs.shape)
+    if live.any():
+        v = vs[live]
 
-    def value(s):
-        a, b = _cb_value_terms(scenario, s * scale)
-        return a + vs * b
+        def value(s):
+            a, b = _cb_value_terms(scenario, s * scale)
+            return a + v * b
 
-    choke = value(0.0)
-    priced_out = pi > choke * (1.0 + 1e-12) + 1e-300
-    targets = np.minimum(pi, choke)
-    sup = sup_level_set(value, targets, 0.0, d_max / scale)
-    return np.where(priced_out, 0.0, np.minimum(sup * scale, d_max))
+        sup, _, _ = sup_level_set(value, np.minimum(pi, choke[live]), 0.0, 1.0)
+        out[live] = sup * scale
+    return out
 
 
-def individual_demand_cb(scenario: Scenario, v_i: float, pi: float, *,
-                         d_max: float = DEFAULT_D_MAX) -> float:
+def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:
     """Capacity a buyer with premium v_i rents at price pi (0 when priced out)."""
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
     if v_i < 0.0 or not math.isfinite(v_i):
         raise ValueError(f"premium must be finite and non-negative, got {v_i}")
-    return float(_cb_demand_profile(scenario, [v_i], pi, d_max)[0])
+    return float(_cb_demand_profile(scenario, [v_i], pi)[0])
 
 
 def _generation_knots(scenario: Scenario) -> np.ndarray:
@@ -317,8 +323,7 @@ def _generation_knots(scenario: Scenario) -> np.ndarray:
     return np.concatenate(knots)
 
 
-def aggregate_demand_cb(scenario: Scenario, pi: float, *,
-                        d_max: float = DEFAULT_D_MAX) -> float:
+def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
     """Total rented capacity at price pi, integrated over buyer types.
 
     A buyer's rented-unit value is affine in its premium,
@@ -333,8 +338,8 @@ def aggregate_demand_cb(scenario: Scenario, pi: float, *,
     top-premium buyer.  Those two, and for an empirical premium the
     demands of every interior table value, come from one vectorized
     level-set search; Gauss panels break there and at the generation
-    knots, where the integrand has kinks or jumps.  Every buyer's demand
-    is capped at d_max, so this is E[min(d_V, d_max)].
+    knots, where the integrand has kinks or jumps.  At price 0 every
+    unit is worth renting and the demand is infinite.
     """
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
@@ -342,7 +347,7 @@ def aggregate_demand_cb(scenario: Scenario, pi: float, *,
     levels = [0.0, prem.epsilon * prem.v_bar]
     if prem.kind == "empirical":  # the table runs from 0 to v_bar
         levels = np.unique(prem.epsilon * prem.quantiles)
-    breaks = _cb_demand_profile(scenario, levels, pi, d_max)
+    breaks = _cb_demand_profile(scenario, levels, pi)
     t1, t2 = float(breaks[0]), float(breaks[-1])
     if t2 <= t1:
         return t1
@@ -357,31 +362,50 @@ def aggregate_demand_cb(scenario: Scenario, pi: float, *,
     return t1 + float(w @ prem.survival(v_star, weak=True))
 
 
-def clear_cb(scenario: Scenario, c: float, *, d_max: float = DEFAULT_D_MAX,
-             residual_tol: float = 1e-7) -> CbClearing:
+def _cb_demand_bound(scenario: Scenario) -> float:
+    """Supremum of aggregate rental demand over positive prices.
+
+    As the price falls to 0 every buyer rents up to the largest L/g0
+    over the lit periods, with g0 the lowest output above which a
+    period has mass (infinite when g0 is 0).
+    """
+    bound = 0.0
+    for period in scenario.periods:
+        gen = period.generation
+        if period.weight > 0.0 and gen.mean > 0.0:
+            floor = gen.support[0]
+            if gen.kind == "tabulated":  # skip leading cells without mass
+                floor = gen.grid[max(int(np.argmax(gen.density > 0.0)) - 1, 0)]
+            bound = max(bound, period.load / floor if floor > 0.0 else math.inf)
+    return bound
+
+
+def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     """Price at which aggregate rental demand equals the capacity c.
 
-    Found by bisection on the monotone aggregate demand between zero and
-    the highest-premium buyer's choke price.  Convergence failures raise
-    rather than returning a silently bad price.
+    Aggregate demand is non-increasing in the price and infinite at 0,
+    so the clearing price is the top of its level set at c, searched on
+    (0, choke] with choke the top buyer's value of a first unit.  A
+    capacity that no positive price draws (at or above the demand
+    bound, see ``_cb_demand_bound``) raises NoEquilibriumError, and a
+    demand residual above 1e-7 c raises rather than returning a
+    silently bad price.
     """
     c = _check_capacity(c)
     if c == 0.0:
         raise ValueError("contract-based clearing needs positive capacity")
-    top = float(scenario.premium.complementary_quantile(0.0))
-    choke = float(cb_unit_value(scenario, top, 0.0)) + 1.0
-
-    def residual(pi):
-        return aggregate_demand_cb(scenario, pi, d_max=d_max) - c
-
-    r0 = residual(0.0)
-    if r0 < 0.0:
+    bound = _cb_demand_bound(scenario)
+    if c >= bound:
         raise NoEquilibriumError(
-            f"capacity {c:g} exceeds zero-price demand {r0 + c:g}; "
-            "no market-clearing rental price exists")
-    price, _ = bisect_decreasing(residual, 0.0, choke, f_lo=r0, f_hi=-c)
-    res = residual(price)
-    if abs(res) > residual_tol * max(1.0, c):
+            f"capacity {c:g} is not below the demand bound {bound:g} "
+            "of positive prices; no market-clearing rental price exists")
+    top = float(scenario.premium.complementary_quantile(0.0))
+    choke = float(cb_unit_value(scenario, top, 0.0))
+    price, _, _ = sup_level_set(
+        lambda pi: aggregate_demand_cb(scenario, float(pi)), c, 0.0, choke)
+    price = float(price)
+    res = aggregate_demand_cb(scenario, price) - c
+    if abs(res) > 1e-7 * c:
         raise ConvergenceError(
             f"contract-based clearing left demand residual {res:g} at price {price:g}")
     return CbClearing(price=price, seller_quantity=c, demand_residual=res)
@@ -392,11 +416,9 @@ def _expected_min_and_shortfall(period: PeriodProfile, q):
     gen, load = period.generation, period.load
     q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        cut = np.where(q > 0.0, load / np.maximum(q, 1e-300), np.inf)
-    m0 = gen.cdf(np.where(np.isfinite(cut), cut, gen.support_hi))
-    m1 = gen.partial_first_moment(np.where(np.isfinite(cut), cut, gen.support_hi))
-    m0 = np.where(np.isfinite(cut), m0, 1.0)
-    m1 = np.where(np.isfinite(cut), m1, gen.mean)
+        cut = load / q  # infinite at q = 0, where m1 is the mean
+    m0 = np.where(np.isfinite(cut), gen.cdf(cut), 1.0)
+    m1 = gen.partial_first_moment(cut)
     emin = q * m1 + load * (1.0 - m0)
     eshort = load * m0 - q * m1
     return emin, eshort
@@ -430,9 +452,13 @@ class CeVerification:
 
     ``max_deviation_gain`` is the largest payoff improvement any buyer
     type or seller could get by moving to another grid point of its
-    feasible set; ``max_clearing_violation`` is the largest relative
-    supply/demand mismatch.  Flat payoff regions (price-zero sellers,
-    pooled-market buyers) count as ties, not violations.
+    feasible set, as a fraction of the backstop bill: the period's
+    load times utility price in real time, the window's weighted sum
+    of those in ``cb``.  ``max_clearing_violation`` is the largest
+    supply/demand mismatch as a fraction of the load (real time) or of
+    the capacity (``cb``).  Both are free of units, and so is the
+    ``tolerance`` they are held to.  Flat payoff regions (price-zero
+    sellers, pooled-market buyers) count as ties, not violations.
     """
 
     mechanism: str
@@ -486,7 +512,7 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
             t, s = thr[limited], supply[limited]
             served_lo = load * prem.survival(t, weak=False)
             served_hi = load * prem.survival(t, weak=True)
-            clear = np.maximum(served_lo - s, s - served_hi) / max(1.0, load)
+            clear = np.maximum(served_lo - s, s - served_hi) / load
             max_clear = max(max_clear, float(clear.max(initial=0.0)))
         # the grid's own payoff expressions at q = 0 and at q = L
         dev_lo = (v - price) * 0.0 - u * (load - 0.0)
@@ -495,8 +521,8 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
         buyer_gain = np.maximum(dev_lo, dev_hi) - held
         # sellers: payoff price * q on [0, supply]
         seller_gain = np.where(price > 0.0, price * supply, 0.0) - price * quantity
-        max_gain = max(max_gain, float(buyer_gain.max()),
-                       float(seller_gain.max()))
+        max_gain = max(max_gain, float(buyer_gain.max()) / (load * u),
+                       float(seller_gain.max()) / (load * u))
     return max_gain, max_clear, {}
 
 
@@ -507,7 +533,7 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
     p_grid = np.linspace(0.0, 1.0, grid_size)
     buyer_vs = np.asarray(prem.quantile(p_grid), dtype=float)
     assigned = _cb_demand_profile(scenario, buyer_vs, clearing.price)
-    q_hi = 2.0 * max(float(assigned.max()), 1e-6)
+    q_hi = 2.0 * max(float(assigned.max()), 1e-6 * scenario.capacity_scale)
     q_dev = np.linspace(0.0, q_hi, grid_size)
 
     rental = -price * q_dev[None, :]
@@ -519,11 +545,12 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
                                            - period.utility_price * eshort_dev[None, :])
         held = held + period.weight * (buyer_vs * emin_held
                                        - period.utility_price * eshort_held)
-    buyer_gain = float((rental.max(axis=1) - held).max())
+    bill = sum(p.weight * p.load * p.utility_price for p in scenario.periods)
+    buyer_gain = float((rental.max(axis=1) - held).max()) / bill
     argmax_gap = float(np.abs(q_dev[rental.argmax(axis=1)] - assigned).max())
     # sellers: payoff price * q on [0, c], maximized at q = c
-    seller_gain = max(0.0, price * c - price * clearing.seller_quantity)
-    clear_violation = abs(aggregate_demand_cb(scenario, price) - c) / max(1.0, c)
+    seller_gain = max(0.0, price * c - price * clearing.seller_quantity) / bill
+    clear_violation = abs(aggregate_demand_cb(scenario, price) - c) / c
     details = {"cb_price": clearing.price,
                "cb_argmax_gap": argmax_gap,
                "cb_grid_step": float(q_dev[1] - q_dev[0])}
@@ -548,7 +575,10 @@ def verify_ce(scenario: Scenario, mechanism: str, c: float, sample_count: int,
     on expectations, so its check is a single deterministic pass (the
     sample count does not enter).  ``price_perturbation`` corrupts the
     clearing price on purpose, to confirm the checker catches broken
-    equilibria.
+    equilibria.  ``tolerance`` is relative: gains are measured against
+    the backstop bill and clearing violations against the load or the
+    capacity (see ``CeVerification``), so the verdict does not depend
+    on the units of loads or prices.
     """
     _check_mechanism(mechanism)
     c = _check_capacity(c)

@@ -1,8 +1,9 @@
-"""Shared numerical kernels: Gauss-Legendre rules and monotone bisection.
+"""Shared numerical kernels: Gauss-Legendre rules and one level-set search.
 
-Everything here is deterministic: fixed-order quadrature and fixed
-tolerance bisection, so repeated evaluations are bit-identical and smooth
-in their parameters (no adaptive subdivision that could jitter).
+Everything here is deterministic: fixed-order quadrature and a
+bisection with a fixed relative tolerance, so repeated evaluations are
+bit-identical and smooth in their parameters (no adaptive subdivision
+that could jitter).
 """
 
 from __future__ import annotations
@@ -11,17 +12,13 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Hard cap on capacity search brackets.  Flat regions of the demand
-#: inverses are unbounded in theory; results are capped here.
-DEFAULT_D_MAX = 1.0e6
-
-#: Capacity cap for zero-profit bracket growth.
-BRACKET_CAP = 1.0e9
-
-#: Relative argument tolerance for all bisections.
+#: Relative argument tolerance of the level-set search.
 X_RTOL = 1.0e-13
 
-MAX_BISECT_ITER = 200
+#: Eightfold growths of the upper end before the search gives up:
+#: 8**20 ~ 1e18 times the starting end, which callers set to the
+#: problem's own scale.
+MAX_GROWTHS = 20
 
 
 class ConvergenceError(RuntimeError):
@@ -60,76 +57,42 @@ def gauss_legendre_panels(edges, order: int):
     return xs, ws
 
 
-def fixed_quad(fn, lo: float, hi: float, order: int = 64) -> float:
-    """Single-panel Gauss-Legendre integral of a vectorized callable."""
-    x, w = gauss_legendre_rule(lo, hi, order)
-    if x.size == 0:
-        return 0.0
-    return float(w @ np.asarray(fn(x), dtype=float))
+def sup_level_set(fn, targets, lo: float, hi: float):
+    """Largest x >= lo with fn(x) >= target, for a non-increasing fn.
 
+    ``targets`` may be a scalar or an array; ``fn`` is called with an
+    array of its shape (0-d for a scalar).  Callers guarantee
+    fn(lo) >= target, so fn is never evaluated at lo.  Where
+    fn(hi) >= target the upper end grows eightfold, at most
+    ``MAX_GROWTHS`` times, and then raises ConvergenceError rather than
+    truncating.  Bisection stops once hi - lo <= X_RTOL * hi for every
+    element, or when no float lies between the ends, so the tolerance
+    is relative to each root and free of units.
 
-def bisect_decreasing(fn, lo: float, hi: float, *, f_lo: float | None = None,
-                      f_hi: float | None = None, x_rtol: float = X_RTOL,
-                      max_iter: int = MAX_BISECT_ITER):
-    """Root of a non-increasing scalar function with fn(lo) >= 0 >= fn(hi).
-
-    Returns (root, iterations).  Raises ConvergenceError when the bracket
-    does not actually straddle a sign change.
+    Returns (root, grown upper end, evaluations of fn).
     """
-    f_lo = fn(lo) if f_lo is None else f_lo
-    f_hi = fn(hi) if f_hi is None else f_hi
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise ConvergenceError(
-            f"bracket [{lo:g}, {hi:g}] does not straddle a root "
-            f"(f(lo)={f_lo:g}, f(hi)={f_hi:g})")
-    iters = 0
-    while iters < max_iter and (hi - lo) > x_rtol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return 0.5 * (lo + hi), iters
-
-
-def grow_bracket(fn, lo: float, hi: float, *, cap: float = BRACKET_CAP,
-                 factor: float = 8.0):
-    """Geometrically expand hi until fn(hi) < 0 for a non-increasing fn.
-
-    Returns (hi, f_hi).  Raises ConvergenceError when no sign change is
-    found below the cap (reporting the residual there for diagnosis).
-    """
-    f_hi = fn(hi)
-    while f_hi >= 0.0:
-        if hi >= cap:
-            raise ConvergenceError(
-                f"no sign change up to bracket cap {cap:g} "
-                f"(residual there {f_hi:g})")
-        hi = min(hi * factor, cap)
-        f_hi = fn(hi)
-    return hi, f_hi
-
-
-def sup_level_set(fn, targets, lo: float, hi: float, *,
-                  x_rtol: float = X_RTOL, max_iter: int = MAX_BISECT_ITER):
-    """Largest d in [lo, hi] with fn(d) >= target, for non-increasing fn.
-
-    ``fn`` must accept and return arrays; ``targets`` may be scalar or an
-    array.  Callers guarantee fn(lo) >= target for every target.  Where
-    fn stays above the target on the whole bracket, hi is returned (the
-    supremum is truncated at the search cap).
-    """
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    lo_a = np.full(targets.shape, float(lo))
-    hi_a = np.full(targets.shape, float(hi))
-    at_cap = np.asarray(fn(hi_a)) >= targets
-    for _ in range(max_iter):
-        mid = 0.5 * (lo_a + hi_a)
-        above = np.asarray(fn(mid)) >= targets
-        lo_a = np.where(above, mid, lo_a)
-        hi_a = np.where(above, hi_a, mid)
-        if np.all(hi_a - lo_a <= x_rtol * np.maximum(1.0, np.abs(hi_a))):
+    targets = np.asarray(targets, dtype=float)
+    x_lo = np.full(targets.shape, float(lo))
+    x_hi = np.full(targets.shape, float(hi))
+    evals = 0
+    for _ in range(MAX_GROWTHS + 1):
+        above = fn(x_hi) >= targets
+        evals += 1
+        if not above.any():
             break
-    out = np.where(at_cap, hi, 0.5 * (lo_a + hi_a))
-    return out
+        x_lo = np.where(above, x_hi, x_lo)
+        x_hi = np.where(above, 8.0 * x_hi, x_hi)
+    else:
+        raise ConvergenceError(
+            f"level set still unbounded at {float(np.max(x_lo)):g} after "
+            f"{MAX_GROWTHS} eightfold growths of the search bracket")
+    grown = x_hi.copy()
+    while True:
+        mid = 0.5 * (x_lo + x_hi)
+        open_ = (x_hi - x_lo > X_RTOL * x_hi) & (mid > x_lo) & (mid < x_hi)
+        if not np.count_nonzero(open_):
+            return mid, grown, evals
+        above = fn(mid) >= targets
+        evals += 1
+        np.copyto(x_lo, mid, where=open_ & above)
+        np.copyto(x_hi, mid, where=open_ & ~above)

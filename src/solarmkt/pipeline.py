@@ -25,7 +25,7 @@ import numpy as np
 from .distributions import (GenerationDistribution, PeriodProfile,
                             PremiumDistribution)
 from .markets import Scenario
-from .numerics import bisect_decreasing
+from .numerics import sup_level_set
 
 __all__ = [
     "IrradiationRecord",
@@ -193,12 +193,11 @@ def fit_truncated_exponential(samples) -> PremiumDistribution:
 
     The likelihood score reduces to matching the model mean to the
     sample mean, a monotone one-dimensional root in the rate.  It is
-    bisected in s = log(rate * v_bar), so the tolerance is relative and
-    free of units.  At the lower end, s = log(1e-9), the model mean is
-    v_bar / 2 to 2e-10 relative, above any accepted sample mean, so the
-    bracket takes its sign from that limit instead of from an evaluation
-    that cancels there.  Samples whose mean is not below half the maximum
-    (the flat-density limit) are rejected as degenerate.
+    searched in x = rate * v_bar, so the tolerance is relative and free
+    of units.  The model mean falls from v_bar / 2 at x = 0, above any
+    accepted sample mean, to below the sample mean at x = v_bar / mean,
+    which brackets the root.  Samples whose mean is not below half the
+    maximum (the flat-density limit) are rejected as degenerate.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
@@ -214,17 +213,12 @@ def fit_truncated_exponential(samples) -> PremiumDistribution:
             f"sample mean {mean:g} is not below half the maximum {v_bar:g}; "
             "no positive-rate truncated exponential fits")
 
-    def excess_mean(s):
-        model = PremiumDistribution.truncated_exponential(
-            math.exp(s) / v_bar, v_bar)
-        return model.base_mean - mean
+    def model_mean(x):
+        return PremiumDistribution.truncated_exponential(
+            float(x) / v_bar, v_bar).base_mean
 
-    s_hi = math.log(2.0 * v_bar / mean)
-    while excess_mean(s_hi) > 0.0:
-        s_hi += math.log(4.0)
-    s, _ = bisect_decreasing(excess_mean, math.log(1e-9), s_hi,
-                             f_lo=0.5 * v_bar - mean)
-    rate = math.exp(s) / v_bar
+    x, _, _ = sup_level_set(model_mean, mean, 0.0, v_bar / mean)
+    rate = float(x) / v_bar
     fitted = PremiumDistribution.truncated_exponential(rate=rate, v_bar=v_bar)
     logger.info("truncated-exponential fit: rate=%.6g, v_bar=%.6g, mean=%.6g",
                 rate, v_bar, fitted.base_mean)

@@ -101,9 +101,9 @@ def test_inverse_roundtrip_on_strictly_decreasing_region():
 
 
 def test_inverse_zero_target_hits_search_cap():
-    # the level set {mu = 0} is empty for a full-support density, so the
-    # documented behavior is to return the bracket cap
-    assert truncated_mean_inverse(u01(), 0.0, 1.0, d_max=1e4) == 1e4
+    # the truncated mean never falls below 0, so the level set at 0 is
+    # the whole half-line and its supremum is infinite, not a search cap
+    assert truncated_mean_inverse(u01(), 0.0, 1.0) == np.inf
 
 
 # ------------------------------------------------------------------- tabulated
@@ -194,6 +194,31 @@ def test_truncated_exponential_quantile_is_accurate_near_the_top(x):
         ref = [float(-(1 - (1 - Decimal(q)) * k).ln() / r) for q in p]
     assert got[-1] == 0.0
     assert got[:-1] == pytest.approx(ref[:-1], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.5, 5.0, 28.0, 60.0, 300.0])
+def test_truncated_exponential_integrated_quantile_is_accurate(x):
+    # reference: the antiderivative t - t log t of the inverse survival,
+    # differenced between t0 = 1 - k = e^-x and t0 + s k in 80-digit
+    # decimals, divided by rate * k (80 digits hold 1 - k = e^-300 only
+    # when it is taken as e^-x)
+    v_bar = 0.7
+    rate = x / v_bar
+    prem = PremiumDistribution.truncated_exponential(rate, v_bar)
+    s = np.array([1e-12, 1e-9, 1e-6, 0.3, 1.0])
+    got = prem.integrated_complementary_quantile(s)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        r = Decimal(rate)
+        t0 = (-r * Decimal(v_bar)).exp()
+        k = 1 - t0
+
+        def anti(t):
+            return t - t * t.ln()
+
+        ref = [float((anti(t0 + Decimal(q) * k) - anti(t0)) / (r * k))
+               for q in s]
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_complementary_quantile_zero_scale():

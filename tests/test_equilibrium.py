@@ -22,7 +22,6 @@ def test_solved_results_have_small_residuals(desk):
         res = solve_ne(desk, mech)
         assert res.viable
         assert abs(res.residual) <= 1e-9
-        assert res.monotone
 
 
 def test_social_optimum_equals_prt_exactly(desk):

@@ -176,8 +176,14 @@ def test_clear_cb_choke_price_limit(desk):
 
 
 def test_clear_cb_rejects_oversupply(desk):
+    # output at least 0.2 per unit: no buyer rents more than L/0.2 at any
+    # positive price, so a larger capacity has no clearing price
+    period = PeriodProfile(load=1.0, utility_price=1.0,
+                           generation=GenerationDistribution.uniform(0.2, 1.0))
+    scn = Scenario(periods=(period,), premium=desk.premium, pi0=desk.pi0,
+                   t_tilde=desk.t_tilde)
     with pytest.raises(NoEquilibriumError):
-        clear_cb(desk, aggregate_demand_cb(desk, 0.0) * 1.01)
+        clear_cb(scn, 1.01 / 0.2)
 
 
 def test_buyer_payoff_zero_rental_pays_full_backstop(desk):

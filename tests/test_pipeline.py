@@ -240,6 +240,22 @@ def test_truncated_exponential_fit_is_free_of_units(v_bar):
         assert fitted.rate * v_bar == pytest.approx(x, rel=1e-11)
 
 
+def test_truncated_exponential_fit_recovers_near_flat_rates():
+    # near-flat surveys: the model mean is within x/12 of v_bar/2, so an
+    # error in it is magnified about 12/x-fold in the fitted x
+    v_bar = 1.0
+    for x in (1e-5, 1e-3, 1e-2):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big_x = Decimal(x)
+            mean = float(Decimal(v_bar) * (1 / big_x - 1 / (big_x.exp() - 1)))
+        n = math.ceil(v_bar / mean)
+        samples = np.zeros(n)
+        samples[0], samples[1] = v_bar, n * mean - v_bar
+        fitted = fit_truncated_exponential(samples)
+        assert fitted.rate * v_bar == pytest.approx(x, rel=1e-9)
+
+
 def test_truncated_exponential_rejects_degenerate():
     with pytest.raises(ValueError):
         fit_truncated_exponential([0.3, 0.3])

@@ -20,7 +20,11 @@ from conftest import desk_scenario, random_scenario
 
 def _oracle_verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
                       price_perturbation):
-    """Per-draw clearing and a full buyers-by-grid deviation matrix."""
+    """Per-draw clearing and a full buyers-by-grid deviation matrix.
+
+    Gains are divided by the period's backstop bill, load times utility
+    price, and clearing violations by the load, as in ``verify_ce``.
+    """
     prem = scenario.premium
     p_grid = np.linspace(0.0, 1.0, grid_size)
     buyer_vs = np.asarray(prem.quantile(p_grid), dtype=float)
@@ -47,15 +51,17 @@ def _oracle_verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
                 served_lo = load * float(prem.survival(thr, weak=False))
                 served_hi = load * float(prem.survival(thr, weak=True))
                 clear_violation = max(0.0, served_lo - supply,
-                                      supply - served_hi) / max(1.0, load)
+                                      supply - served_hi) / load
             dev = (v_eff[:, None] - price) * q_dev[None, :] \
                 - period.utility_price * (load - q_dev)[None, :]
             held = (v_eff - price) * assigned \
                 - period.utility_price * (load - assigned)
-            max_gain = max(max_gain, float((dev.max(axis=1) - held).max()))
+            bill = load * period.utility_price
+            max_gain = max(max_gain,
+                           float((dev.max(axis=1) - held).max()) / bill)
             seller_best = price * supply if price > 0.0 else 0.0
             max_gain = max(max_gain,
-                           seller_best - price * outcome.seller_quantity)
+                           (seller_best - price * outcome.seller_quantity) / bill)
             max_clear = max(max_clear, clear_violation)
     return max_gain, max_clear
 
@@ -97,7 +103,7 @@ def test_verify_rt_matches_per_draw_grid_oracle(case, seed):
     gain, clear = _oracle_verify_rt(scn, mechanism, c, samples, grid_size,
                                     np.random.default_rng(seed), perturbation)
     top = scn.premium.epsilon * scn.premium.v_bar
-    scale = max([1.0] + [p.load * (p.utility_price + top)
+    scale = max([1.0] + [(p.utility_price + top) / p.utility_price
                          for p in scn.periods])
     assert report.max_deviation_gain == pytest.approx(gain, abs=1e-12 * scale)
     assert report.max_clearing_violation == pytest.approx(clear, abs=1e-15)
