@@ -6,10 +6,11 @@ from scipy.integrate import quad
 
 from solarmkt import (GenerationDistribution, NoEquilibriumError,
                       PeriodProfile, Scenario, aggregate_demand_cb,
-                      buyer_payoff_cb, clear_cb, clear_rt,
+                      buyer_payoff_cb, cb_unit_value, clear_cb, clear_rt,
                       individual_demand_cb, revenue_rt,
                       unit_revenue_rt, verify_ce)
-from conftest import desk_scenario, random_scenario
+from conftest import (desk_scenario, random_scenario,
+                      random_tabulated_generation)
 
 
 # ------------------------------------------------------------------- clear_rt
@@ -124,6 +125,22 @@ def test_individual_demand_extension_clause(desk):
     # price above the buyer's whole-window value of the first unit
     choke = (1.0 + 0.6) * 0.5
     assert individual_demand_cb(desk, 0.6, choke * 1.01) == 0.0
+
+
+def test_demand_at_the_choke_price_is_the_whole_flat_top():
+    # a rented unit is worth its full-mean value for every d <= L/g_max,
+    # so at exactly that value a buyer rents the whole flat stretch; the
+    # search must see the stretch as level in floating point
+    for seed in range(40):  # a few of these grids round the top differently
+        gen = random_tabulated_generation(np.random.default_rng(seed))
+        period = PeriodProfile(load=7.3, utility_price=0.4, generation=gen,
+                               weight=1.6)
+        scn = Scenario(periods=(period,), premium=desk_scenario().premium,
+                       pi0=0.1, t_tilde=1.0)
+        for v in (0.0, 0.37):
+            choke = float(cb_unit_value(scn, v, 0.0))
+            assert individual_demand_cb(scn, v, choke) == pytest.approx(
+                7.3 / gen.support_hi, rel=1e-12)
 
 
 def test_aggregate_demand_desk_value(desk):
