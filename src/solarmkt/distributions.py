@@ -288,6 +288,12 @@ _CELL_ORDER = 4
 #: x^5/30240, is below half an ulp of the mean there.
 _TEXP_SERIES_CUT = 4.0e-3
 
+#: f(r) = (1 + r) log1p(r) - r is the sum over n >= 2 of
+#: (-1)^n r^n / (n (n - 1)); at r <= 0.1, where the closed form cancels
+#: about 2/r-fold, the terms to n = 17 leave under 1e-17 of f.
+_F_SERIES_CUT = 0.1
+_F_SERIES = tuple((-1.0) ** n / (n * (n - 1)) for n in range(17, 1, -1))
+
 
 @dataclass(frozen=True)
 class PremiumDistribution:
@@ -460,9 +466,12 @@ class PremiumDistribution:
         elif self.kind == "truncated_exponential":
             # The antiderivative t - t log t, differenced between
             # t0 = e^-x and t1 = e^-x + s k (x = rate * v_bar), is
-            # s k (1 + x) - t1 log1p(s k / t0): no 1 - k or 1 - (1 - s) k
-            # to cancel.  Past x = 700, e^-x drops below 1e-304 and the
-            # t0 terms are dropped (t log t -> 0 at t = 0).
+            # s k (1 + x) - t1 log1p(r) with r = s k / t0: no 1 - k or
+            # 1 - (1 - s) k to cancel.  That form still cancels about
+            # 1/x-fold for near-flat premiums (small x, hence small r),
+            # so there it is taken as s k x - t0 f(r) with f's series.
+            # Past x = 700, e^-x drops below 1e-304 and the t0 terms are
+            # dropped (t log t -> 0 at t = 0).
             k = self._texp_k
             x = self.rate * self.v_bar
             sk = s * k
@@ -471,7 +480,11 @@ class PremiumDistribution:
                     diff = np.where(sk > 0.0, sk - sk * np.log(sk), 0.0)
             else:
                 t0 = math.exp(-x)
-                diff = sk * (1.0 + x) - (t0 + sk) * np.log1p(sk / t0)
+                r = sk / t0
+                near = np.minimum(r, _F_SERIES_CUT)
+                diff = np.where(
+                    r > _F_SERIES_CUT, sk * (1.0 + x) - (t0 + sk) * np.log1p(r),
+                    sk * x - t0 * (near * near * np.polyval(_F_SERIES, near)))
             out = self.epsilon * diff / (self.rate * k)
         else:
             out = self.epsilon * self._empirical_icq(s)

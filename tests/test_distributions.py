@@ -196,7 +196,7 @@ def test_truncated_exponential_quantile_is_accurate_near_the_top(x):
     assert got[:-1] == pytest.approx(ref[:-1], rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("x", [0.5, 5.0, 28.0, 60.0, 300.0])
+@pytest.mark.parametrize("x", [1e-6, 1e-3, 0.5, 5.0, 28.0, 60.0, 300.0])
 def test_truncated_exponential_integrated_quantile_is_accurate(x):
     # reference: the antiderivative t - t log t of the inverse survival,
     # differenced between t0 = 1 - k = e^-x and t0 + s k in 80-digit

@@ -3,8 +3,9 @@
 Scaling every load by k scales every capacity by k, and scaling every
 price and premium by m leaves every capacity unchanged, for k and m
 from 1e-9 to 1e9.  The rental price that clears a capacity is the same
-at loads times k and scales by m with the prices.  ``verify``'s verdict
-is unchanged by either scaling.
+at loads times k and scales by m with the prices.  The verdicts of
+``verify`` and of the ordering report's gap check are unchanged by
+either scaling.
 """
 
 from dataclasses import replace
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solarmkt import clear_cb, solve_ne, verify_ce
+from solarmkt import clear_cb, ordering_report, solve_ne, verify_ce
 from conftest import desk_scenario, random_scenario
 from test_heterogeneous import two_period_scenario
 
@@ -69,3 +70,22 @@ def test_verify_verdict_is_free_of_units(k, m):
         corrupted = verify_ce(scn, mech, c, 300, 201, seed=3,
                               price_perturbation=0.01)
         assert not corrupted.passed
+
+
+def _tabulated_scenario():
+    rng = np.random.default_rng(11)
+    for _ in range(7):  # its gap error over eps^2 grows with eps
+        scn = random_scenario(rng, 1.0, "tabulated")
+    return scn
+
+
+@pytest.mark.parametrize("make", [desk_scenario, _tabulated_scenario])
+@pytest.mark.parametrize("k", [1e-9, 1e9])
+def test_gap_check_verdict_is_free_of_units(make, k):
+    scn = make()
+    grid = [0.0, 0.25, 0.5, 1.0]
+    base = ordering_report(scn, grid)
+    scaled = ordering_report(_scale_loads(scn, k), grid)
+    assert scaled.gap_k == pytest.approx(k * base.gap_k, rel=1e-6)
+    assert [r.gap_check for r in scaled.rows] == [r.gap_check for r in base.rows]
+    assert all(r.gap_check for r in base.rows if r.epsilon > 0.0)
