@@ -290,12 +290,12 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     gap_k = None
     positive = [e for e in grid if e > 0.0]
     if coeffs is not None and positive:
-        # The second-order constant is fitted on two scales the check does
-        # not test, just below and just above the grid, so that it bounds
-        # |gap error| / eps^2 on the grid wherever that ratio is monotone.
+        # The second-order constant is fitted on two scales below the grid,
+        # which the check does not test, so every row tests whether the
+        # small-scale constant still bounds |gap error| / eps^2 there.
         slope_gap = coeffs.cb_slope - coeffs.prt_slope
         errs = []
-        for eps in (0.5 * min(positive), 2.0 * max(positive)):
+        for eps in (0.25 * min(positive), 0.5 * min(positive)):
             scn = scenario.with_epsilon(eps)
             gap = solve_ne(scn, "cb").capacity - solve_ne(scn, "prt").capacity
             errs.append(abs(gap - slope_gap * eps) / eps ** 2)

@@ -180,7 +180,7 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         g = fn(x) - targets
         evals += 1
         above = g >= 0.0
-        up, down = open_ & above, open_ > above
+        up, down = open_ & above, open_ & ~above
         np.copyto(x_lo, x, where=up)
         np.copyto(g_lo, g, where=up)
         np.copyto(x_hi, x, where=down)
