@@ -2,13 +2,10 @@
 
 from .asymptotics import (DerivativeSingularError, ExpansionCoefficients,
                           FlatnessReport, OrderingReport, OrderingRow,
-                          beta_constant, cb_slope_at_zero,
                           expansion_coefficients, flatness_fit, lambda_ratio,
-                          ordering_report, prt_slope_at_zero)
+                          ordering_report)
 from .distributions import (GenerationDistribution, PeriodProfile,
-                            PremiumDistribution, complementary_quantile,
-                            mean_premium, truncated_mean,
-                            truncated_mean_inverse)
+                            PremiumDistribution)
 from .equilibrium import (AllocationRule, EquilibriumResult, check_viability,
                           optimal_allocation, solve_ne, solve_social_optimum,
                           welfare, zero_profit_residual)
@@ -26,8 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GenerationDistribution", "PremiumDistribution", "PeriodProfile",
-    "truncated_mean", "truncated_mean_inverse", "complementary_quantile",
-    "mean_premium",
     "Scenario", "ClearingOutcome", "CbClearing", "CeVerification",
     "clear_rt", "unit_revenue_rt", "revenue_rt", "cb_unit_value",
     "individual_demand_cb", "aggregate_demand_cb", "clear_cb",
@@ -35,8 +30,8 @@ __all__ = [
     "EquilibriumResult", "AllocationRule", "solve_ne", "solve_social_optimum",
     "optimal_allocation", "welfare", "check_viability", "zero_profit_residual",
     "ExpansionCoefficients", "FlatnessReport", "OrderingRow", "OrderingReport",
-    "prt_slope_at_zero", "cb_slope_at_zero", "lambda_ratio", "beta_constant",
-    "flatness_fit", "expansion_coefficients", "ordering_report",
+    "lambda_ratio", "flatness_fit", "expansion_coefficients",
+    "ordering_report",
     "DerivativeSingularError", "ConvergenceError", "NoEquilibriumError",
     "IrradiationRecord", "ScenarioConfigError", "load_irradiation_csv",
     "prepare_generation_samples", "fit_generation_kde", "load_premium_survey",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import GenerationDistribution, PremiumDistribution
 from .equilibrium import solve_ne
-from .markets import Scenario
+from .markets import Scenario, _premium_revenue
 from .numerics import gauss_legendre_rule
 
 __all__ = [
@@ -28,10 +28,7 @@ __all__ = [
     "OrderingRow",
     "OrderingReport",
     "DerivativeSingularError",
-    "prt_slope_at_zero",
-    "cb_slope_at_zero",
     "lambda_ratio",
-    "beta_constant",
     "flatness_fit",
     "expansion_coefficients",
     "ordering_report",
@@ -125,23 +122,15 @@ def _base_capacity(scenario: Scenario) -> float:
 def _slope_terms(scenario: Scenario, c0: float):
     """Premium-revenue numerator and truncated-mean-derivative denominator.
 
-    The numerator integrates the *unscaled* premium quantile against the
-    scarcity-weighted output; the denominator is the per-period exact
-    derivative -(L^2/c0^3) f(L/c0) of the truncated mean, price-weighted.
+    The numerator is the premium revenue R1(c0) at premium scale 1; the
+    denominator is the per-period exact derivative -(L^2/c0^3) f(L/c0)
+    of the truncated mean, price-weighted.
     """
-    prem = scenario.premium
-    numerator = 0.0
     denominator = 0.0
     mu_sum = 0.0
     for period in scenario.periods:
         gen, load = period.generation, period.load
-        cut = load / c0
-        nodes, weights = gen.quad_nodes(0.0, min(cut, gen.support_hi), order=64)
-        if nodes.size and gen.support_hi > 0.0:  # dark: no premium
-            frac = np.clip(c0 * nodes / load, 0.0, 1.0)
-            numerator += period.weight * float(
-                weights @ (prem.base_complementary_quantile(frac) * nodes))
-        density = float(gen.pdf(cut))
+        density = float(gen.pdf(load / c0))
         denominator += period.weight * period.utility_price * (
             -(load ** 2) / c0 ** 3 * density)
         mu_sum += period.weight * float(gen.truncated_mean(c0, load))
@@ -149,29 +138,7 @@ def _slope_terms(scenario: Scenario, c0: float):
         raise DerivativeSingularError(
             "no generation density at the scarcity boundary load/c0; "
             "the first-order expansion is singular")
-    return numerator, denominator, mu_sum
-
-
-def _first_order(scenario: Scenario) -> tuple[float, float, float]:
-    """(c0, prt slope, cb slope): the expansion up to the premium shape.
-
-    Defined for a degenerate premium too, where both slopes are zero;
-    ``expansion_coefficients`` adds the shape terms lambda and beta.
-    """
-    c0 = _base_capacity(scenario)
-    numerator, denominator, mu_sum = _slope_terms(scenario, c0)
-    return (c0, -numerator / denominator,
-            -scenario.premium.base_mean * mu_sum / denominator)
-
-
-def prt_slope_at_zero(scenario: Scenario) -> float:
-    """d c_prt / d(premium scale) at scale zero."""
-    return _first_order(scenario)[1]
-
-
-def cb_slope_at_zero(scenario: Scenario) -> float:
-    """d c_cb / d(premium scale) at scale zero."""
-    return _first_order(scenario)[2]
+    return _premium_revenue(scenario, c0), denominator, mu_sum
 
 
 def lambda_ratio(prem: PremiumDistribution) -> float:
@@ -202,17 +169,15 @@ def lambda_ratio(prem: PremiumDistribution) -> float:
     return num / den
 
 
-def beta_constant(scenario: Scenario) -> float:
-    """Guaranteed first-order over-investment rate of the contract market."""
-    return expansion_coefficients(scenario).beta
-
-
 def expansion_coefficients(scenario: Scenario) -> ExpansionCoefficients:
     """All small-scale expansion constants in one pass."""
-    c0, prt_slope, cb_slope = _first_order(scenario)
+    c0 = _base_capacity(scenario)
+    numerator, denominator, mu_sum = _slope_terms(scenario, c0)
+    prt_slope = -numerator / denominator
     lam = lambda_ratio(scenario.premium)
     return ExpansionCoefficients(
-        c0=c0, prt_slope=prt_slope, cb_slope=cb_slope, lam=lam,
+        c0=c0, prt_slope=prt_slope,
+        cb_slope=-scenario.premium.base_mean * mu_sum / denominator, lam=lam,
         beta=(1.0 - lam) / (1.0 + lam) * prt_slope)
 
 

@@ -36,18 +36,13 @@ def _configure_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _solve_all(scenario):
-    results = {m: solve_ne(scenario, m) for m in ALL_MECHANISMS}
-    return results
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config)
-    results = _solve_all(scenario)
+    results = {m: solve_ne(scenario, m) for m in ALL_MECHANISMS}
     viable, margin = check_viability(scenario)
     payload = {
         "config": str(args.config),

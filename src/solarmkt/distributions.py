@@ -8,9 +8,9 @@ modelled as ``eps`` times a fixed base distribution so the whole premium
 population can be scaled up or down with one knob.
 
 Both models expose exactly the transforms the clearing and investment
-equations consume: the truncated mean ``E[G 1{dG <= L}]`` and its
-extended inverse, complementary quantiles, their partial integrals, and
-density/moment lookups.  The classic idealization of a generation density
+equations consume: the truncated mean ``E[G 1{dG <= L}]``,
+complementary quantiles, their partial integrals, and density/moment
+lookups.  The classic idealization of a generation density
 positive on all of the half-line is deliberately not enforced: tabulated
 densities live on a bounded grid and a point mass at zero represents
 night hours, so bounded supports are first-class here.
@@ -24,17 +24,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (gauss_legendre_panels, gauss_legendre_rule,
-                       sup_level_set)
+from .numerics import gauss_legendre_panels, gauss_legendre_rule
 
 __all__ = [
     "GenerationDistribution",
     "PremiumDistribution",
     "PeriodProfile",
-    "truncated_mean",
-    "truncated_mean_inverse",
-    "complementary_quantile",
-    "mean_premium",
 ]
 
 _DENSITY_NORM_TOL = 1.0e-8
@@ -219,31 +214,6 @@ class GenerationDistribution:
         with np.errstate(divide="ignore", over="ignore"):
             out = self.partial_first_moment(load / d)  # the mean at d = 0
         return out if out.ndim else float(out)
-
-    def truncated_mean_inverse(self, z, load: float):
-        """Extended inverse of the truncated mean.
-
-        Returns 0 above the full mean, infinity at z = 0 (the truncated
-        mean never falls below 0, so that level set is unbounded), and
-        otherwise the supremum of the level set {d : truncated_mean(d)
-        >= z}, searched in units of L / mean.
-        """
-        z = np.asarray(z, dtype=float)
-        if np.any(~np.isfinite(z)) or np.any(z < 0.0):
-            raise ValueError("target must be finite and non-negative")
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        mean = self.mean
-        above = z > mean * (1.0 + 1e-12)
-        out = np.where(above, 0.0, np.inf)
-        live = ~above & (z > 0.0)
-        if live.any():
-            scale = load / mean
-            sup, _, _ = sup_level_set(
-                lambda s: self.truncated_mean(s * scale, load),
-                np.minimum(z[live], mean), 0.0, 1.0)
-            out[live] = sup * scale
-        return float(out[0]) if scalar else out
 
     def quad_nodes(self, lo: float, hi: float, *, order: int = 64):
         """Quadrature nodes/weights for E[h(G); lo <= G <= hi].
@@ -568,24 +538,3 @@ class PeriodProfile:
         if self.weight < 0.0:
             raise ValueError(f"weight must be non-negative, got {self.weight}")
 
-
-# -- module-level operation surface ------------------------------------
-
-def truncated_mean(gen: GenerationDistribution, d, load: float):
-    """E[G 1{d G <= load}] (full mean at d = 0)."""
-    return gen.truncated_mean(d, load)
-
-
-def truncated_mean_inverse(gen: GenerationDistribution, z, load: float):
-    """Extended inverse of the truncated mean (0 above the full mean)."""
-    return gen.truncated_mean_inverse(z, load)
-
-
-def complementary_quantile(prem: PremiumDistribution, p):
-    """Scaled inverse survival of the premium distribution."""
-    return prem.complementary_quantile(p)
-
-
-def mean_premium(prem: PremiumDistribution) -> float:
-    """E[V] of the scaled premium distribution."""
-    return prem.mean

@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .markets import (Scenario, aggregate_demand_cb, clear_cb, revenue_rt,
-                      unit_revenue_rt)
+from .markets import (Scenario, _scarcity_integral, aggregate_demand_cb,
+                      revenue_rt, unit_revenue_rt)
 from .numerics import sup_level_set
 
 __all__ = [
@@ -90,7 +88,7 @@ def _solve_characteristic(scenario: Scenario, mechanism: str,
     root = float(root)
     return EquilibriumResult(
         mechanism=label, capacity=root,
-        residual=revenue_rt(scenario, mechanism, root) - pi0 * root,
+        residual=zero_profit_residual(scenario, mechanism, root),
         bracket=(lo, float(hi)), iterations=iters, viable=True)
 
 
@@ -167,29 +165,20 @@ def welfare(scenario: Scenario, c: float) -> float:
     if c < 0.0 or not math.isfinite(c):
         raise ValueError(f"capacity must be finite and non-negative, got {c}")
     prem = scenario.premium
-    mean_v = prem.mean
+    icq = prem.integrated_complementary_quantile
+    premium_value = _scarcity_integral(
+        scenario, c, lambda period, frac, g: period.load * icq(frac))
     total = 0.0
     for period in scenario.periods:
         gen, load = period.generation, period.load
-        if c > 0.0:
-            cut = load / c
-            nodes, weights = gen.quad_nodes(0.0, min(cut, gen.support_hi),
-                                            order=64)
-            premium_value = 0.0
-            if nodes.size:
-                frac = np.clip(c * nodes / load, 0.0, 1.0)
-                premium_value = load * float(
-                    weights @ prem.integrated_complementary_quantile(frac))
-            # abundance region collects the full mean premium
-            premium_value += load * mean_v * (1.0 - float(gen.cdf(cut)))
-            shortfall = load * float(gen.cdf(cut)) \
-                - c * float(gen.partial_first_moment(cut))
-        else:
-            premium_value = 0.0
-            shortfall = load
-        total += period.weight * (premium_value
+        cut = load / c if c > 0.0 else math.inf
+        scarce = float(gen.cdf(cut))
+        # the abundance region collects the full mean premium
+        abundance_value = load * prem.mean * (1.0 - scarce)
+        shortfall = load * scarce - c * float(gen.partial_first_moment(cut))
+        total += period.weight * (abundance_value
                                   - period.utility_price * shortfall)
-    return scenario.period_scale * total - scenario.pi0 * c
+    return scenario.period_scale * (premium_value + total) - scenario.pi0 * c
 
 
 def check_viability(scenario: Scenario) -> tuple[bool, float]:
@@ -205,11 +194,16 @@ def check_viability(scenario: Scenario) -> tuple[bool, float]:
 
 
 def zero_profit_residual(scenario: Scenario, mechanism: str, c: float) -> float:
-    """Lifetime revenue minus capital bill at capacity c (zero at equilibrium)."""
+    """Lifetime revenue minus capital bill at capacity c (zero at equilibrium).
+
+    Real-time designs and the optimum only: ``solve_ne`` reads the
+    contract-based capacity off aggregate demand at the cost-recovering
+    rental price, where this residual is 0 by construction.
+    """
+    if mechanism == "cb":
+        raise ValueError("the cb zero-profit residual is 0 by construction "
+                         "in solve_ne; it is defined for srt, prt and opt")
     if c <= 0.0:
         raise ValueError(f"capacity must be positive, got {c}")
-    if mechanism == "cb":
-        clearing = clear_cb(scenario, c)
-        return scenario.period_scale * c * clearing.price - scenario.pi0 * c
     mech = "prt" if mechanism == "opt" else mechanism
     return revenue_rt(scenario, mech, c) - scenario.pi0 * c

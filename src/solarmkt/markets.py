@@ -200,29 +200,52 @@ def clear_rt(scenario: Scenario, period_index: int, mechanism: str,
         float(served[0]))
 
 
+def _scarcity_integral(scenario: Scenario, c: float, integrand) -> float:
+    """Weighted sum over periods of E[integrand(period, frac, G); c G <= L].
+
+    ``frac = c G / L`` is the served fraction of the load, clipped to
+    [0, 1].  The premium terms of the differentiated revenue, of its
+    first-order slope and of welfare are all this one integral with
+    different integrands.  Dark periods, with no output, add 0.
+    """
+    total = 0.0
+    for period in scenario.periods:
+        gen, load = period.generation, period.load
+        if gen.support_hi <= 0.0:
+            continue
+        upper = load / c if c > 0.0 else math.inf
+        g, weights = gen.quad_nodes(0.0, upper, order=REVENUE_QUAD_ORDER)
+        if g.size:
+            frac = np.clip(c * g / load, 0.0, 1.0)
+            total += period.weight * float(weights @ integrand(period, frac, g))
+    return total
+
+
+def _premium_revenue(scenario: Scenario, c: float) -> float:
+    """R1(c): premium revenue per unit capacity and planning window at
+    premium scale 1, before the lifetime scaling."""
+    base = scenario.premium.base_complementary_quantile
+    return _scarcity_integral(scenario, c,
+                              lambda period, frac, g: base(frac) * g)
+
+
 def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     """Expected lifetime revenue per unit capacity under a real-time design.
 
     This is the left-hand side of the zero-profit condition; it is
     non-increasing in c because added capacity is only paid for up to
-    the load in each realization.
+    the load in each realization.  The differentiated design adds the
+    premium revenue, which is linear in the premium scale eps.
     """
     _check_mechanism(mechanism, RT_MECHANISMS)
     c = _check_capacity(c)
-    prem = scenario.premium
-    with_premium = (mechanism == "prt"
-                    and prem.epsilon > 0.0 and prem.v_bar > 0.0)
     total = 0.0
     for period in scenario.periods:
-        gen, load = period.generation, period.load
-        term = period.utility_price * float(gen.truncated_mean(c, load))
-        if with_premium:
-            upper = load / c if c > 0.0 else gen.support_hi
-            nodes, weights = gen.quad_nodes(0.0, upper, order=REVENUE_QUAD_ORDER)
-            if nodes.size and gen.support_hi > 0.0:  # dark: no premium
-                frac = np.clip(c * nodes / load, 0.0, 1.0)
-                term += float(weights @ (prem.complementary_quantile(frac) * nodes))
-        total += period.weight * term
+        mu = float(period.generation.truncated_mean(c, period.load))
+        total += period.weight * (period.utility_price * mu)
+    prem = scenario.premium
+    if mechanism == "prt" and prem.epsilon > 0.0 and prem.v_bar > 0.0:
+        total += prem.epsilon * _premium_revenue(scenario, c)
     return scenario.period_scale * total
 
 

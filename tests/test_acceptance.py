@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from solarmkt import (GenerationDistribution, PeriodProfile, Scenario,
-                      beta_constant, cb_slope_at_zero, flatness_fit,
-                      lambda_ratio, prt_slope_at_zero, solve_ne,
-                      solve_social_optimum, verify_ce, welfare)
+                      expansion_coefficients, flatness_fit, lambda_ratio,
+                      solve_ne, solve_social_optimum, verify_ce, welfare)
 from solarmkt.cli import main as cli_main
 from conftest import DESK, random_scenario
 
@@ -79,16 +78,17 @@ def test_criterion_3_ordering_properties():
 
 
 def test_criterion_4_asymptotic_slopes(desk):
-    assert prt_slope_at_zero(desk) == pytest.approx(DESK["prt_slope"], abs=1e-6)
-    assert cb_slope_at_zero(desk) == pytest.approx(DESK["cb_slope"], abs=1e-6)
+    coeffs = expansion_coefficients(desk)
+    assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-6)
+    assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-6)
     c0 = solve_ne(desk, "srt").capacity
     eps = 1e-2
     fd_prt = (solve_ne(desk.with_epsilon(eps), "prt").capacity - c0) / eps
     fd_cb = (solve_ne(desk.with_epsilon(eps), "cb").capacity - c0) / eps
-    assert prt_slope_at_zero(desk) == pytest.approx(fd_prt, rel=0.02)
-    assert cb_slope_at_zero(desk) == pytest.approx(fd_cb, rel=0.02)
+    assert coeffs.prt_slope == pytest.approx(fd_prt, rel=0.02)
+    assert coeffs.cb_slope == pytest.approx(fd_cb, rel=0.02)
     assert lambda_ratio(desk.premium) == pytest.approx(DESK["lambda"], abs=1e-9)
-    beta = beta_constant(desk)
+    beta = coeffs.beta
     assert beta == pytest.approx(DESK["beta"], abs=1e-6)
     # gap lower bound with the curvature constant fitted on the two
     # smallest scales, then checked on all three

@@ -7,20 +7,21 @@ import pytest
 
 from solarmkt import (DerivativeSingularError, ExpansionCoefficients,
                       GenerationDistribution, PeriodProfile,
-                      PremiumDistribution, Scenario, beta_constant,
-                      cb_slope_at_zero, flatness_fit, lambda_ratio,
-                      ordering_report, prt_slope_at_zero, solve_ne)
+                      PremiumDistribution, Scenario, expansion_coefficients,
+                      flatness_fit, lambda_ratio, ordering_report, solve_ne)
 from conftest import DESK, random_scenario
 
 
 # --------------------------------------------------------------------- slopes
 
 def test_prt_slope_desk_closed_form(desk):
-    assert prt_slope_at_zero(desk) == pytest.approx(DESK["prt_slope"], abs=1e-9)
+    assert expansion_coefficients(desk).prt_slope == pytest.approx(
+        DESK["prt_slope"], abs=1e-9)
 
 
 def test_cb_slope_desk_closed_form(desk):
-    assert cb_slope_at_zero(desk) == pytest.approx(DESK["cb_slope"], abs=1e-9)
+    assert expansion_coefficients(desk).cb_slope == pytest.approx(
+        DESK["cb_slope"], abs=1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -29,18 +30,21 @@ def test_slopes_match_finite_differences(desk, eps):
     c0 = solve_ne(desk, "srt").capacity
     fd_prt = (solve_ne(desk.with_epsilon(eps), "prt").capacity - c0) / eps
     fd_cb = (solve_ne(desk.with_epsilon(eps), "cb").capacity - c0) / eps
-    assert prt_slope_at_zero(desk) == pytest.approx(fd_prt, rel=5 * eps)
-    assert cb_slope_at_zero(desk) == pytest.approx(fd_cb, rel=5 * eps)
+    coeffs = expansion_coefficients(desk)
+    assert coeffs.prt_slope == pytest.approx(fd_prt, rel=5 * eps)
+    assert coeffs.cb_slope == pytest.approx(fd_cb, rel=5 * eps)
 
 
 def test_slopes_vanish_for_degenerate_premiums():
+    # the slopes alone would be 0, but the expansion needs lambda, which
+    # a premium without spread does not have
     period = PeriodProfile(load=1.0, utility_price=1.0,
                            generation=GenerationDistribution.uniform(0.0, 1.0))
     scn = Scenario(periods=(period,),
                    premium=PremiumDistribution.uniform(0.0), pi0=0.125,
                    t_tilde=1.0)
-    assert prt_slope_at_zero(scn) == 0.0
-    assert cb_slope_at_zero(scn) == 0.0
+    with pytest.raises(ValueError, match="lambda is undefined"):
+        expansion_coefficients(scn)
 
 
 def test_slopes_singular_without_boundary_density():
@@ -51,7 +55,7 @@ def test_slopes_singular_without_boundary_density():
                    premium=PremiumDistribution.uniform(0.3), pi0=0.2,
                    t_tilde=1.0)
     with pytest.raises(DerivativeSingularError):
-        prt_slope_at_zero(scn)
+        expansion_coefficients(scn)
 
 
 def test_slope_heterogeneous_zero_period_neutral(desk):
@@ -59,10 +63,9 @@ def test_slope_heterogeneous_zero_period_neutral(desk):
                           generation=GenerationDistribution.point_mass(0.0))
     doubled = Scenario(periods=desk.periods + (night,), premium=desk.premium,
                        pi0=desk.pi0, t_tilde=2.0)
-    assert prt_slope_at_zero(doubled) == pytest.approx(DESK["prt_slope"],
-                                                       abs=1e-9)
-    assert cb_slope_at_zero(doubled) == pytest.approx(DESK["cb_slope"],
-                                                      abs=1e-9)
+    coeffs = expansion_coefficients(doubled)
+    assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-9)
+    assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-9)
 
 
 # --------------------------------------------------------------------- lambda
@@ -108,12 +111,13 @@ def test_lambda_rejects_degenerate():
 # ----------------------------------------------------------------------- beta
 
 def test_beta_desk_closed_form(desk):
-    assert beta_constant(desk) == pytest.approx(DESK["beta"], abs=1e-9)
+    assert expansion_coefficients(desk).beta == pytest.approx(DESK["beta"],
+                                                             abs=1e-9)
 
 
 def test_beta_below_slope_gap(desk):
-    assert (cb_slope_at_zero(desk) - prt_slope_at_zero(desk)
-            >= beta_constant(desk) - 1e-12)
+    coeffs = expansion_coefficients(desk)
+    assert coeffs.cb_slope - coeffs.prt_slope >= coeffs.beta - 1e-12
 
 
 def test_beta_positive_and_vanishing_with_premium_cap(desk):
@@ -122,7 +126,7 @@ def test_beta_positive_and_vanishing_with_premium_cap(desk):
         scn = Scenario(periods=desk.periods,
                        premium=PremiumDistribution.uniform(v_bar),
                        pi0=desk.pi0, t_tilde=1.0)
-        beta = beta_constant(scn)
+        beta = expansion_coefficients(scn).beta
         assert beta > 0.0
         if last is not None:
             assert beta < last
@@ -135,8 +139,8 @@ def test_slope_gap_dominates_beta_for_flat_densities():
     for _ in range(6):
         scn = random_scenario(rng, epsilon=0.3, gen_kind="uniform",
                               n_periods=1)
-        gap = cb_slope_at_zero(scn) - prt_slope_at_zero(scn)
-        assert gap >= beta_constant(scn) - 1e-10
+        coeffs = expansion_coefficients(scn)
+        assert coeffs.cb_slope - coeffs.prt_slope >= coeffs.beta - 1e-10
 
 
 def test_expansion_coefficient_validation():

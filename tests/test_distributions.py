@@ -8,9 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from solarmkt import (GenerationDistribution, PremiumDistribution,
-                      complementary_quantile, mean_premium, truncated_mean,
-                      truncated_mean_inverse)
+from solarmkt import GenerationDistribution, PremiumDistribution
 
 
 def u01():
@@ -24,27 +22,27 @@ def uniform_premium(v_bar=0.6, epsilon=1.0):
 # ---------------------------------------------------------------- truncated mean
 
 def test_truncated_mean_at_zero_capacity_is_full_mean():
-    assert truncated_mean(u01(), 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert u01().truncated_mean(0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_truncated_mean_quadrature_oracle():
     # oracle: integral of g over [0, L/d] for the unit uniform density
     oracle, _ = quad(lambda g: g, 0.0, 0.5)
-    assert truncated_mean(u01(), 2.0, 1.0) == pytest.approx(oracle, abs=1e-12)
-    assert truncated_mean(u01(), 2.0, 1.0) == pytest.approx(0.125, abs=1e-12)
+    assert u01().truncated_mean(2.0, 1.0) == pytest.approx(oracle, abs=1e-12)
+    assert u01().truncated_mean(2.0, 1.0) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_truncated_mean_point_mass_zero_is_zero_everywhere():
     gen = GenerationDistribution.point_mass(0.0)
     for d in (0.0, 0.5, 3.0, 1e6):
-        assert truncated_mean(gen, d, 1.0) == 0.0
+        assert gen.truncated_mean(d, 1.0) == 0.0
 
 
 def test_truncated_mean_point_mass_positive_steps_at_boundary():
     gen = GenerationDistribution.point_mass(0.5)
-    assert truncated_mean(gen, 1.0, 1.0) == 0.5
-    assert truncated_mean(gen, 2.0, 1.0) == 0.5  # d*g == L counts as scarce
-    assert truncated_mean(gen, 2.1, 1.0) == 0.0
+    assert gen.truncated_mean(1.0, 1.0) == 0.5
+    assert gen.truncated_mean(2.0, 1.0) == 0.5  # d*g == L counts as scarce
+    assert gen.truncated_mean(2.1, 1.0) == 0.0
 
 
 def test_truncated_mean_monotone_in_capacity():
@@ -57,53 +55,11 @@ def test_truncated_mean_monotone_in_capacity():
 
 def test_truncated_mean_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        truncated_mean(u01(), -1.0, 1.0)
+        u01().truncated_mean(-1.0, 1.0)
     with pytest.raises(ValueError):
-        truncated_mean(u01(), math.nan, 1.0)
+        u01().truncated_mean(math.nan, 1.0)
     with pytest.raises(ValueError):
-        truncated_mean(u01(), 1.0, 0.0)
-
-
-# ------------------------------------------------------------- extended inverse
-
-def test_inverse_at_full_mean_returns_flat_region_supremum():
-    # mu is flat at the full mean for d <= L/support_hi; the supremum of
-    # that level set is 1.0 here (oracle: scan mu on a fine grid)
-    d_grid = np.linspace(0.0, 3.0, 3001)
-    mu = u01().truncated_mean(d_grid, 1.0)
-    scan_sup = d_grid[mu >= 0.5 - 1e-12].max()
-    got = truncated_mean_inverse(u01(), 0.5, 1.0)
-    assert got == pytest.approx(scan_sup, abs=2e-3)
-    assert got == pytest.approx(1.0, abs=1e-9)
-
-
-def test_inverse_inverts_interior_values():
-    assert truncated_mean_inverse(u01(), 0.125, 1.0) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_inverse_extension_clause_above_mean():
-    assert truncated_mean_inverse(u01(), 0.6, 1.0) == 0.0
-
-
-def test_inverse_rejects_negative_targets():
-    with pytest.raises(ValueError):
-        truncated_mean_inverse(u01(), -0.1, 1.0)
-
-
-def test_inverse_roundtrip_on_strictly_decreasing_region():
-    rng = np.random.default_rng(1)
-    for gen in (u01(), GenerationDistribution.uniform(0.0, 2.3)):
-        lo = 1.0 / gen.support_hi  # strictly decreasing for d > L/support_hi
-        for d in rng.uniform(lo * 1.05, lo * 40.0, 25):
-            z = gen.truncated_mean(d, 1.0)
-            back = gen.truncated_mean_inverse(z, 1.0)
-            assert back == pytest.approx(d, rel=1e-8)
-
-
-def test_inverse_zero_target_hits_search_cap():
-    # the truncated mean never falls below 0, so the level set at 0 is
-    # the whole half-line and its supremum is infinite, not a search cap
-    assert truncated_mean_inverse(u01(), 0.0, 1.0) == np.inf
+        u01().truncated_mean(1.0, 0.0)
 
 
 # ------------------------------------------------------------------- tabulated
@@ -165,7 +121,7 @@ def test_uniform_validation():
 
 def test_complementary_quantile_uniform_closed_form():
     # 0.6 * (1 - 0.6) by hand
-    assert complementary_quantile(uniform_premium(), 0.6) == pytest.approx(
+    assert uniform_premium().complementary_quantile(0.6) == pytest.approx(
         0.24, abs=1e-15)
 
 
@@ -173,8 +129,8 @@ def test_complementary_quantile_exhausted_at_top():
     for prem in (uniform_premium(),
                  PremiumDistribution.truncated_exponential(5.0, 0.4),
                  PremiumDistribution.empirical([0.1, 0.2, 0.5])):
-        assert complementary_quantile(prem, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert complementary_quantile(prem, 0.0) == pytest.approx(
+        assert prem.complementary_quantile(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert prem.complementary_quantile(0.0) == pytest.approx(
             prem.epsilon * prem.v_bar, rel=1e-12)
 
 
@@ -222,14 +178,14 @@ def test_truncated_exponential_integrated_quantile_is_accurate(x):
 
 
 def test_complementary_quantile_zero_scale():
-    assert complementary_quantile(uniform_premium(epsilon=0.0), 0.2) == 0.0
+    assert uniform_premium(epsilon=0.0).complementary_quantile(0.2) == 0.0
 
 
 def test_complementary_quantile_rejects_out_of_range():
     with pytest.raises(ValueError):
-        complementary_quantile(uniform_premium(), 1.5)
+        uniform_premium().complementary_quantile(1.5)
     with pytest.raises(ValueError):
-        complementary_quantile(uniform_premium(), -0.2)
+        uniform_premium().complementary_quantile(-0.2)
 
 
 def test_complementary_quantile_non_increasing():
@@ -264,8 +220,8 @@ def test_survival_inverts_complementary_quantile():
 
 
 def test_mean_premium_examples():
-    assert mean_premium(uniform_premium()) == pytest.approx(0.3, abs=1e-15)
-    assert mean_premium(uniform_premium(epsilon=0.0)) == 0.0
+    assert uniform_premium().mean == pytest.approx(0.3, abs=1e-15)
+    assert uniform_premium(epsilon=0.0).mean == 0.0
 
 
 def test_mean_premium_truncated_exponential_survey_fit_target():
@@ -278,7 +234,7 @@ def test_mean_premium_truncated_exponential_survey_fit_target():
 
     rate = brentq(lambda r: texp_mean(r) - 0.0286, 1.0, 1e3)
     prem = PremiumDistribution.truncated_exponential(rate, v_bar)
-    assert mean_premium(prem) == pytest.approx(0.0286, rel=1e-9)
+    assert prem.mean == pytest.approx(0.0286, rel=1e-9)
 
 
 def test_mean_matches_quantile_integral():

@@ -6,7 +6,11 @@ import pytest
 from solarmkt import (check_viability, optimal_allocation, solve_ne,
                       solve_social_optimum, unit_revenue_rt, welfare,
                       zero_profit_residual)
+from solarmkt.numerics import sup_level_set
+from solarmkt.pipeline import load_scenario
 from conftest import DESK, desk_scenario, random_scenario
+from test_acceptance import _write_california_fixtures
+from test_heterogeneous import two_period_scenario
 
 
 # ------------------------------------------------------------------ solve_ne
@@ -87,9 +91,9 @@ def test_zero_profit_residual_examples(desk):
         zero_profit_residual(desk, "srt", 0.0)
 
 
-def test_zero_profit_residual_cb_at_solution(desk):
-    c_cb = solve_ne(desk, "cb").capacity
-    assert abs(zero_profit_residual(desk, "cb", c_cb)) <= 1e-7
+def test_zero_profit_residual_rejects_cb(desk):
+    with pytest.raises(ValueError, match="0 by construction in solve_ne"):
+        zero_profit_residual(desk, "cb", DESK["c_cb"])
 
 
 # ------------------------------------------------------------- allocation rule
@@ -138,6 +142,34 @@ def test_welfare_argmax_matches_social_optimum(desk):
     grid = np.linspace(1e-6, 2.5 * c_opt, 400)
     vals = np.array([welfare(desk, c) for c in grid])
     assert abs(grid[int(np.argmax(vals))] - c_opt) <= grid[1] - grid[0]
+
+
+def _welfare_argmax(scenario, h=1e-5):
+    """Largest c with W(c(1+h)) >= W(c(1-h)), from welfare alone.
+
+    Welfare is concave, so that central difference changes sign once,
+    at the maximizer up to a bias of about h^2/2 relative.
+    """
+    scale = scenario.capacity_scale
+    root, _, _ = sup_level_set(
+        lambda c: welfare(scenario, c * (1.0 + h))
+        - welfare(scenario, c * (1.0 - h)), 0.0, 1e-9 * scale, scale)
+    return float(root)
+
+
+def test_welfare_maximizer_found_independently_is_the_prt_capacity(tmp_path):
+    # welfare's premium term integrates the integrated quantile, revenue's
+    # the quantile itself: only the node set is shared, so this catches a
+    # fault in either that the identity prt == opt cannot
+    rng = np.random.default_rng(8)
+    scenarios = [desk_scenario(), two_period_scenario(),
+                 load_scenario(_write_california_fixtures(tmp_path))]
+    scenarios += [random_scenario(rng, epsilon=float(rng.uniform(0.1, 1.0)),
+                                  gen_kind="uniform" if i % 2 else "tabulated")
+                  for i in range(6)]
+    for scn in scenarios:
+        c_prt = solve_ne(scn, "prt").capacity
+        assert _welfare_argmax(scn) == pytest.approx(c_prt, rel=1e-9, abs=0.0)
 
 
 def test_welfare_rejects_negative_capacity(desk):

@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 
 from solarmkt import (GenerationDistribution, PeriodProfile,
-                      PremiumDistribution, Scenario, beta_constant,
-                      cb_slope_at_zero, prt_slope_at_zero, revenue_rt,
-                      solve_ne, solve_social_optimum, verify_ce, welfare)
+                      PremiumDistribution, Scenario, expansion_coefficients,
+                      revenue_rt, solve_ne, solve_social_optimum, verify_ce,
+                      welfare)
 
 C_SRT = 4.0
 C_PRT = np.sqrt(20.8)
@@ -70,9 +70,10 @@ def test_orderings(hetero):
 
 
 def test_slopes_match_hand_values(hetero):
-    assert prt_slope_at_zero(hetero) == pytest.approx(0.6, abs=1e-9)
-    assert cb_slope_at_zero(hetero) == pytest.approx(0.9, abs=1e-9)
-    assert beta_constant(hetero) == pytest.approx(0.12, abs=1e-9)
+    coeffs = expansion_coefficients(hetero)
+    assert coeffs.prt_slope == pytest.approx(0.6, abs=1e-9)
+    assert coeffs.cb_slope == pytest.approx(0.9, abs=1e-9)
+    assert coeffs.beta == pytest.approx(0.12, abs=1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -81,8 +82,9 @@ def test_slopes_match_finite_differences(hetero, eps):
     scaled = two_period_scenario(epsilon=eps)
     fd_prt = (solve_ne(scaled, "prt").capacity - c0) / eps
     fd_cb = (solve_ne(scaled, "cb").capacity - c0) / eps
-    assert prt_slope_at_zero(hetero) == pytest.approx(fd_prt, rel=5 * eps)
-    assert cb_slope_at_zero(hetero) == pytest.approx(fd_cb, rel=5 * eps)
+    coeffs = expansion_coefficients(hetero)
+    assert coeffs.prt_slope == pytest.approx(fd_prt, rel=5 * eps)
+    assert coeffs.cb_slope == pytest.approx(fd_cb, rel=5 * eps)
     # the per-period ratio sum (1.8) is firmly ruled out
     assert abs(fd_cb - 1.8) > 0.8
 
