@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GenerationDistribution, PremiumDistribution
-from .equilibrium import solve_ne
+from .equilibrium import solve_all, solve_ne
 from .markets import Scenario, _premium_revenue
 from .numerics import gauss_legendre_rule
 
@@ -231,14 +231,24 @@ class OrderingReport:
 
 
 def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
+    """Solve every design across the premium scales and check their order.
+
+    ``srt`` is solved once, on the scenario as given, and ``prt``, ``cb``
+    and ``opt`` per scale, ``opt`` sharing ``prt``'s search.  ``gap_k``
+    solves ``prt`` and ``cb`` at two scales below the grid, and
+    ``expansion_coefficients`` makes its own base ``srt`` solve.
+    ``prt_eq_opt`` holds by construction; the independent check that
+    ``prt`` maximizes ``welfare`` is a test in ``tests/test_equilibrium.py``.
+    """
     grid = [float(e) for e in epsilon_grid]
     if any(e < 0.0 for e in grid):
         raise ValueError("premium scales must be non-negative")
 
-    solved = {}
-    for eps in grid:
-        scn = scenario.with_epsilon(eps)
-        solved[eps] = {m: solve_ne(scn, m) for m in ("srt", "prt", "cb", "opt")}
+    # Neither the srt unit revenue nor the capacity scale that brackets its
+    # search reads the premium, so one solve serves every row bit for bit.
+    c_srt = solve_ne(scenario, "srt").capacity
+    solved = {eps: solve_all(scenario.with_epsilon(eps), ("prt", "cb", "opt"))
+              for eps in grid}
 
     coeffs = None
     flatness = None
@@ -261,8 +271,8 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
         slope_gap = coeffs.cb_slope - coeffs.prt_slope
         errs = []
         for eps in (0.25 * min(positive), 0.5 * min(positive)):
-            scn = scenario.with_epsilon(eps)
-            gap = solve_ne(scn, "cb").capacity - solve_ne(scn, "prt").capacity
+            res = solve_all(scenario.with_epsilon(eps), ("prt", "cb"))
+            gap = res["cb"].capacity - res["prt"].capacity
             errs.append(abs(gap - slope_gap * eps) / eps ** 2)
         gap_k = max(errs)
 
@@ -270,8 +280,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     passed = True
     for eps in grid:
         res = solved[eps]
-        c_srt, c_prt = res["srt"].capacity, res["prt"].capacity
-        c_cb, c_opt = res["cb"].capacity, res["opt"].capacity
+        c_prt, c_cb, c_opt = (res[m].capacity for m in ("prt", "cb", "opt"))
         srt_le_prt = c_srt <= c_prt + ORDER_RTOL * c_prt
         prt_eq_opt = abs(c_prt - c_opt) <= 1e-12 * c_prt
         prt_le_cb = c_prt <= c_cb + ORDER_RTOL * c_prt
@@ -283,8 +292,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
         gap_err = None
         gap_ok = None
         if eps > 0.0 and gap_k is not None:
-            gap_err = abs((c_cb - c_prt)
-                          - (coeffs.cb_slope - coeffs.prt_slope) * eps)
+            gap_err = abs((c_cb - c_prt) - slope_gap * eps)
             gap_ok = gap_err <= gap_k * eps ** 2 * (1.0 + 1e-9) + GAP_FLOOR * c_prt
         passed = passed and srt_le_prt and prt_eq_opt
         rows.append(OrderingRow(

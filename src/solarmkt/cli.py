@@ -14,19 +14,18 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .asymptotics import (expansion_coefficients, flatness_fit,
                           ordering_report)
-from .equilibrium import check_viability, solve_ne
+from .equilibrium import (SOLVE_MECHANISMS, check_viability, solve_all,
+                          solve_ne)
 from .markets import verify_ce
 from .numerics import ConvergenceError, NoEquilibriumError
 from .pipeline import ScenarioConfigError, load_scenario
 
 logger = logging.getLogger(__name__)
 
-ALL_MECHANISMS = ("srt", "prt", "cb", "opt")
 DEFAULT_EPSILON_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -42,7 +41,7 @@ def _fmt(x: float) -> str:
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config)
-    results = {m: solve_ne(scenario, m) for m in ALL_MECHANISMS}
+    results = solve_all(scenario)
     viable, margin = check_viability(scenario)
     payload = {
         "config": str(args.config),
@@ -73,50 +72,23 @@ def cmd_solve(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sensitivity sweep: which knob, which values, which mechanisms."""
-
-    parameter: str
-    values: tuple[float, ...]
-    mechanisms: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.parameter not in ("epsilon", "pi0"):
-            raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if any(v < 0.0 for v in self.values):
-            raise ValueError("sweep values must be non-negative")
-        if self.parameter == "pi0" and any(v <= 0.0 for v in self.values):
-            raise ValueError("pi0 sweep values must be positive")
-        for m in self.mechanisms:
-            if m not in ALL_MECHANISMS:
-                raise ValueError(f"unknown mechanism {m!r}")
-        # canonical mechanism order, so output rows sort the same way
-        # regardless of how the subset was spelled
-        object.__setattr__(self, "mechanisms",
-                           tuple(m for m in ALL_MECHANISMS
-                                 if m in set(self.mechanisms)))
-
-    def apply(self, scenario, value: float):
-        if self.parameter == "epsilon":
-            return scenario.with_epsilon(value)
-        return scenario.with_pi0(value)
-
-
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
-    spec = SweepSpec(
-        parameter=args.param,
-        values=tuple(float(v) for v in args.values.split(",")
-                     if v.strip() != ""),
-        mechanisms=tuple(m.strip() for m in args.mechanisms.split(",")))
+    values = sorted(float(v) for v in args.values.split(",") if v.strip() != "")
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    if any(v < 0.0 for v in values):
+        raise ValueError("sweep values must be non-negative")
+    if args.param == "pi0" and any(v <= 0.0 for v in values):
+        raise ValueError("pi0 sweep values must be positive")
+    mechanisms = tuple(m.strip() for m in args.mechanisms.split(","))
 
     rows = []
-    for value in sorted(spec.values):
-        point = spec.apply(scenario, value)
-        rows += [(value, m, solve_ne(point, m)) for m in spec.mechanisms]
+    for value in values:
+        point = (scenario.with_epsilon(value) if args.param == "epsilon"
+                 else scenario.with_pi0(value))
+        rows += [(value, m, result)
+                 for m, result in solve_all(point, mechanisms).items()]
 
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -163,7 +135,9 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = [float(v) for v in args.epsilon_grid.split(",")]
-    report = ordering_report(scenario, grid)
+    # the capacity table reads scales 1 and 0, so the grid always has them
+    report = ordering_report(
+        scenario, grid + [e for e in (0.0, 1.0) if e not in grid])
 
     table_path = out_dir / "capacity_table.csv"
     by_eps = {row.epsilon: row for row in report.rows}
@@ -171,14 +145,9 @@ def cmd_report(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["epsilon", "c_srt_gw", "c_prt_gw", "c_cb_gw", "c_opt_gw"])
         for eps in (1.0, 0.0):
-            row = by_eps.get(eps)
-            if row is None:
-                scn = scenario.with_epsilon(eps)
-                caps = [solve_ne(scn, m).capacity for m in ALL_MECHANISMS]
-                writer.writerow([repr(eps)] + [repr(v) for v in caps])
-            else:
-                writer.writerow([repr(eps), repr(row.c_srt), repr(row.c_prt),
-                                 repr(row.c_cb), repr(row.c_opt)])
+            row = by_eps[eps]
+            writer.writerow([repr(eps), repr(row.c_srt), repr(row.c_prt),
+                             repr(row.c_cb), repr(row.c_opt)])
 
     ordering_path = out_dir / "ordering_report.csv"
     with ordering_path.open("w", newline="", encoding="utf-8") as handle:
@@ -219,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, choices=("epsilon", "pi0"))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
-    p_sweep.add_argument("--mechanisms", default=",".join(ALL_MECHANISMS))
+    p_sweep.add_argument("--mechanisms", default=",".join(SOLVE_MECHANISMS))
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

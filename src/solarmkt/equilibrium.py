@@ -5,24 +5,25 @@ lifetime revenue per unit equals the installation cost, so each
 real-time design reduces to a one-dimensional root of a monotone
 function.  The contract-based capacity follows directly from aggregate
 rental demand at the cost-recovering price.  The welfare optimum shares
-its first-order condition with the product-differentiated market, and is
-deliberately solved by the very same routine so the equality holds
-exactly rather than to solver tolerance.
+its first-order condition with the product-differentiated market, so its
+result is the differentiated market's search, relabelled: the equality
+holds exactly rather than to solver tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .markets import (Scenario, _scarcity_integral, aggregate_demand_cb,
-                      revenue_rt, unit_revenue_rt)
+from .markets import (Scenario, _check_mechanism, _scarcity_integral,
+                      aggregate_demand_cb, revenue_rt, unit_revenue_rt)
 from .numerics import sup_level_set
 
 __all__ = [
     "EquilibriumResult",
     "AllocationRule",
     "solve_ne",
+    "solve_all",
     "solve_social_optimum",
     "optimal_allocation",
     "welfare",
@@ -67,8 +68,8 @@ class AllocationRule:
     max_avg_premium: float
 
 
-def _solve_characteristic(scenario: Scenario, mechanism: str,
-                          label: str) -> EquilibriumResult:
+def _solve_characteristic(scenario: Scenario,
+                          mechanism: str) -> EquilibriumResult:
     """Largest capacity whose per-unit revenue still covers pi0.
 
     The per-unit revenue is non-increasing, so the zero-profit capacity
@@ -81,13 +82,14 @@ def _solve_characteristic(scenario: Scenario, mechanism: str,
     r_lo = unit_revenue_rt(scenario, mechanism, lo) - pi0
     if r_lo < 0.0:
         # Upfront cost unattractive even for the first unit: no investment.
-        return EquilibriumResult(mechanism=label, capacity=0.0, residual=r_lo,
-                                 bracket=(0.0, lo), iterations=0, viable=False)
+        return EquilibriumResult(mechanism=mechanism, capacity=0.0,
+                                 residual=r_lo, bracket=(0.0, lo),
+                                 iterations=0, viable=False)
     root, hi, iters = sup_level_set(
         lambda c: unit_revenue_rt(scenario, mechanism, c), pi0, lo, scale)
     root = float(root)
     return EquilibriumResult(
-        mechanism=label, capacity=root,
+        mechanism=mechanism, capacity=root,
         residual=zero_profit_residual(scenario, mechanism, root),
         bracket=(lo, float(hi)), iterations=iters, viable=True)
 
@@ -116,16 +118,34 @@ def solve_ne(scenario: Scenario, mechanism: str) -> EquilibriumResult:
     """Nash-equilibrium aggregate capacity under the given market design.
 
     ``opt`` solves the welfare optimum, which shares the differentiated
-    market's characterizing equation.
+    market's characterizing equation: it is the ``prt`` result relabelled.
     """
-    if mechanism not in SOLVE_MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}; "
-                         f"expected one of {SOLVE_MECHANISMS}")
+    _check_mechanism(mechanism, SOLVE_MECHANISMS)
     if mechanism == "cb":
         return _solve_cb(scenario)
     if mechanism == "opt":
-        return _solve_characteristic(scenario, "prt", "opt")
-    return _solve_characteristic(scenario, mechanism, mechanism)
+        return replace(_solve_characteristic(scenario, "prt"), mechanism="opt")
+    return _solve_characteristic(scenario, mechanism)
+
+
+def solve_all(scenario: Scenario,
+              mechanisms=SOLVE_MECHANISMS) -> dict[str, EquilibriumResult]:
+    """Results for the requested mechanisms, in ``SOLVE_MECHANISMS`` order.
+
+    Every name is checked before anything is solved.  When both ``prt``
+    and ``opt`` are requested, one search serves both.
+    """
+    for m in mechanisms:
+        _check_mechanism(m, SOLVE_MECHANISMS)
+    results = {}
+    for m in SOLVE_MECHANISMS:
+        if m not in mechanisms:
+            continue
+        if m == "opt" and "prt" in results:
+            results[m] = replace(results["prt"], mechanism="opt")
+        else:
+            results[m] = solve_ne(scenario, m)
+    return results
 
 
 def solve_social_optimum(scenario: Scenario) -> EquilibriumResult:

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import solarmkt
-from solarmkt import load_scenario, solve_ne
-from solarmkt.cli import main
+from solarmkt import (equilibrium, load_scenario, ordering_report, solve_all,
+                      solve_ne)
+from solarmkt.cli import DEFAULT_EPSILON_GRID, main
 
 DESK_CONFIG = {
     "pi0_usd_per_kw": 0.125,
@@ -220,6 +221,56 @@ def test_report_writes_table_and_ordering(desk_config, tmp_path):
     assert len(ordering) == 5
     assert all(r["srt_le_prt"] == "True" for r in ordering)
     assert all(r["prt_eq_opt"] == "True" for r in ordering)
+
+
+def test_report_deterministic_bytes(desk_config, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out_dir in outs:
+        main(["report", "--config", str(desk_config), "--out-dir", str(out_dir)])
+    for name in ("capacity_table.csv", "ordering_report.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_report_grid_always_gains_scales_0_and_1(desk_config, desk, tmp_path):
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(desk_config),
+                 "--epsilon-grid", "0.25,0.5", "--out-dir", str(out_dir)]) == 0
+    ordering = _read_csv(out_dir / "ordering_report.csv")
+    assert [r["epsilon"] for r in ordering] == ["0.25", "0.5", "0.0", "1.0"]
+    for row in _read_csv(out_dir / "capacity_table.csv"):
+        scn = desk.with_epsilon(float(row["epsilon"]))
+        for m in ("srt", "prt", "cb", "opt"):
+            assert row[f"c_{m}_gw"] == repr(solve_ne(scn, m).capacity)
+
+
+# ------------------------------------------------------------ search counts
+
+def test_each_command_runs_each_level_set_search_once(desk, desk_config,
+                                                      tmp_path, monkeypatch):
+    calls = []
+    search = equilibrium.sup_level_set
+    monkeypatch.setattr(equilibrium, "sup_level_set",
+                        lambda *a, **k: calls.append(1) or search(*a, **k))
+
+    def searches(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    # srt once for every row, prt per scale (opt shares it), two gap_k
+    # scales and the expansion's own srt
+    assert searches(lambda: ordering_report(desk, DEFAULT_EPSILON_GRID)) == 9
+    assert searches(lambda: main(["solve", "--config", str(desk_config),
+                                  "--out", str(tmp_path / "s.json")])) == 3
+    assert searches(lambda: main(["sweep", "--config", str(desk_config),
+                                  "--param", "epsilon",
+                                  "--values", "0,0.25,0.5,0.75,1",
+                                  "--out", str(tmp_path / "s.csv")])) == 10
+    assert searches(lambda: solve_all(desk, ("prt", "opt"))) == 1
+    calls.clear()
+    with pytest.raises(ValueError, match="unknown mechanism 'xyz'"):
+        solve_all(desk, ("prt", "xyz"))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------- import

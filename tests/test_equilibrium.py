@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from solarmkt import (check_viability, optimal_allocation, solve_ne,
-                      solve_social_optimum, unit_revenue_rt, welfare,
-                      zero_profit_residual)
+from solarmkt import (check_viability, optimal_allocation, solve_all,
+                      solve_ne, solve_social_optimum, unit_revenue_rt,
+                      welfare, zero_profit_residual)
+from solarmkt.equilibrium import SOLVE_MECHANISMS
 from solarmkt.numerics import sup_level_set
 from solarmkt.pipeline import load_scenario
 from conftest import DESK, desk_scenario, random_scenario
@@ -189,6 +190,12 @@ def test_ordering_general_case_random_scenarios():
         c_opt = solve_ne(scn, "opt").capacity
         assert c_srt <= c_prt * (1.0 + 1e-9) + 1e-12
         assert c_prt == c_opt
+        # the single-product market never reads the premium, which is
+        # why ordering_report solves srt once for every row
+        for eps in (0.0, 2.0):
+            assert solve_ne(scn.with_epsilon(eps), "srt") == solve_ne(scn, "srt")
+        assert list(solve_all(scn).items()) == [(m, solve_ne(scn, m))
+                                                for m in SOLVE_MECHANISMS]
 
 
 def test_unit_revenue_non_increasing_random():
