@@ -19,8 +19,8 @@ import numpy as np
 
 from .distributions import GenerationDistribution, PremiumDistribution
 from .equilibrium import solve_all, solve_ne
-from .markets import Scenario, _premium_revenue
-from .numerics import gauss_legendre_rule
+from .markets import Scenario, _covered_energy, _premium_revenue
+from .numerics import gauss_legendre_panels, gauss_legendre_rule
 
 __all__ = [
     "ExpansionCoefficients",
@@ -111,54 +111,43 @@ def flatness_fit(scenario: Scenario, c_srt: float) -> FlatnessReport:
                           per_period_delta=tuple(deltas))
 
 
-def _base_capacity(scenario: Scenario) -> float:
-    result = solve_ne(scenario, "srt")
-    if not result.viable or result.capacity <= 0.0:
-        raise ValueError("scenario is not viable: the zero-premium base "
-                         "capacity is zero, so no expansion point exists")
-    return result.capacity
-
-
 def _slope_terms(scenario: Scenario, c0: float):
-    """Premium-revenue numerator and truncated-mean-derivative denominator.
+    """Premium-revenue numerator, truncated-mean-derivative denominator, B(c0).
 
     The numerator is the premium revenue R1(c0) at premium scale 1; the
     denominator is the per-period exact derivative -(L^2/c0^3) f(L/c0)
     of the truncated mean, price-weighted.
     """
     denominator = 0.0
-    mu_sum = 0.0
     for period in scenario.periods:
         gen, load = period.generation, period.load
         density = float(gen.pdf(load / c0))
         denominator += period.weight * period.utility_price * (
             -(load ** 2) / c0 ** 3 * density)
-        mu_sum += period.weight * float(gen.truncated_mean(c0, load))
     if denominator == 0.0:
         raise DerivativeSingularError(
             "no generation density at the scarcity boundary load/c0; "
             "the first-order expansion is singular")
+    mu_sum = float(_covered_energy(scenario, c0)[1])
     return _premium_revenue(scenario, c0), denominator, mu_sum
 
 
 def lambda_ratio(prem: PremiumDistribution) -> float:
     """Quantile-shape ratio of the premium distribution, in (0, 1).
 
-    Ratio of the second to the first moment of the served fraction under
-    the quantile-slope weighting; invariant under the premium scale.
-    Empirical tables are differentiated by central differences on a
-    2001-point grid and integrated on that same grid, since their
-    quantile curve is only piecewise smooth.
+    int -q'(p) p^2 dp / int -q'(p) p dp for the base complementary
+    quantile q; invariant under the premium scale.  An empirical table's
+    q is piecewise linear, so by parts with q(1) = 0 the ratio is
+    2 int p q dp / int q dp, exact on order-2 Gauss panels between nodes.
     """
     if prem.v_bar <= 0.0:
         raise ValueError("lambda is undefined for a degenerate premium "
                          "distribution (v_bar must be positive)")
     if prem.kind == "empirical":
-        p = np.linspace(0.0, 1.0, 2001)
-        q = np.asarray(prem.base_complementary_quantile(p))
-        slope = -np.gradient(q, p)
-        num = float(np.trapezoid(slope * p * p, p))
-        den = float(np.trapezoid(slope * p, p))
+        p, w = gauss_legendre_panels(prem._p_grid, 2)
+        q = prem.base_complementary_quantile(p)
+        num = 2.0 * float(w @ (p * q))
+        den = float(w @ q)
     else:
         p, w = gauss_legendre_rule(0.0, 1.0, 128)
         slope = -np.asarray(prem.base_complementary_quantile_derivative(p))
@@ -169,9 +158,12 @@ def lambda_ratio(prem: PremiumDistribution) -> float:
     return num / den
 
 
-def expansion_coefficients(scenario: Scenario) -> ExpansionCoefficients:
-    """All small-scale expansion constants in one pass."""
-    c0 = _base_capacity(scenario)
+def expansion_coefficients(scenario: Scenario, c0: float) -> ExpansionCoefficients:
+    """All small-scale expansion constants at c0, the ``srt`` capacity
+    (which reads no premium): every design's capacity at scale zero."""
+    if not (c0 > 0.0 and math.isfinite(c0)):
+        raise ValueError("scenario is not viable: the zero-premium base "
+                         "capacity is zero, so no expansion point exists")
     numerator, denominator, mu_sum = _slope_terms(scenario, c0)
     prt_slope = -numerator / denominator
     lam = lambda_ratio(scenario.premium)
@@ -235,8 +227,8 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
 
     ``srt`` is solved once, on the scenario as given, and ``prt``, ``cb``
     and ``opt`` per scale, ``opt`` sharing ``prt``'s search.  ``gap_k``
-    solves ``prt`` and ``cb`` at two scales below the grid, and
-    ``expansion_coefficients`` makes its own base ``srt`` solve.
+    solves ``prt`` and ``cb`` at two scales below the grid, and the
+    expansion is taken at the ``srt`` capacity.
     ``prt_eq_opt`` holds by construction; the independent check that
     ``prt`` maximizes ``welfare`` is a test in ``tests/test_equilibrium.py``.
     """
@@ -254,7 +246,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     flatness = None
     informational = True
     try:
-        coeffs = expansion_coefficients(scenario)
+        coeffs = expansion_coefficients(scenario, c_srt)
         flatness = flatness_fit(scenario, coeffs.c0)
         if math.isfinite(flatness.delta):
             delta_bound = (1.0 - coeffs.lam) / (1.0 + 3.0 * coeffs.lam)

@@ -39,6 +39,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _parse_values(text: str) -> list[float]:
+    """Floats from a comma-separated list; empty fields are skipped."""
+    values = [float(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    return values
+
+
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config)
     results = solve_all(scenario)
@@ -54,7 +62,7 @@ def cmd_solve(args) -> int:
         "expansion": None,
     }
     try:
-        coeffs = expansion_coefficients(scenario)
+        coeffs = expansion_coefficients(scenario, results["srt"].capacity)
         payload["expansion"] = {
             "c0": coeffs.c0, "prt_slope": coeffs.prt_slope,
             "cb_slope": coeffs.cb_slope, "lambda": coeffs.lam,
@@ -74,9 +82,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
-    values = sorted(float(v) for v in args.values.split(",") if v.strip() != "")
-    if not values:
-        raise ValueError("sweep needs at least one value")
+    values = sorted(_parse_values(args.values))
     if any(v < 0.0 for v in values):
         raise ValueError("sweep values must be non-negative")
     if args.param == "pi0" and any(v <= 0.0 for v in values):
@@ -134,7 +140,7 @@ def cmd_report(args) -> int:
     scenario = load_scenario(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = [float(v) for v in args.epsilon_grid.split(",")]
+    grid = _parse_values(args.epsilon_grid)
     # the capacity table reads scales 1 and 0, so the grid always has them
     report = ordering_report(
         scenario, grid + [e for e in (0.0, 1.0) if e not in grid])

@@ -370,7 +370,8 @@ class PremiumDistribution:
         return np.interp(1.0 - p, self._p_grid, self.quantiles)
 
     def base_complementary_quantile_derivative(self, p):
-        """d/dp of the base inverse survival (central differences for empirical)."""
+        """d/dp of the base inverse survival; ValueError for an empirical
+        table, which is piecewise linear."""
         p = np.asarray(p, dtype=float)
         if self.v_bar == 0.0:
             return np.zeros_like(p)
@@ -378,11 +379,8 @@ class PremiumDistribution:
             return np.full_like(p, -self.v_bar)
         if self.kind == "truncated_exponential":
             return -self._texp_k / (self.rate * (1.0 - (1.0 - p) * self._texp_k))
-        h = 1.0 / 2000.0
-        hi = np.clip(p + h, 0.0, 1.0)
-        lo = np.clip(p - h, 0.0, 1.0)
-        return (self.base_complementary_quantile(hi)
-                - self.base_complementary_quantile(lo)) / (hi - lo)
+        raise ValueError("an empirical premium's quantile is piecewise "
+                         "linear; it has no derivative at the table nodes")
 
     @cached_property
     def base_mean(self) -> float:

@@ -200,6 +200,25 @@ def clear_rt(scenario: Scenario, period_index: int, mechanism: str,
         float(served[0]))
 
 
+def _covered_energy(scenario: Scenario, d):
+    """(A(d), B(d)) = (sum w u E[G; d G <= L], sum w E[G; d G <= L]).
+
+    The only code that takes these sums of the energy a unit covers
+    under scarcity: A is the backstop part of the real-time unit revenue
+    and of viability, B the energy term of the contract slope, and
+    A(d) + v B(d) a rented unit's value.  Both are non-increasing in d;
+    at d = 0 the truncated means are the full means.
+    """
+    d = np.asarray(d, dtype=float)
+    a = b = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        for period in scenario.periods:
+            mu = period.generation.partial_first_moment(period.load / d)
+            a = a + period.weight * period.utility_price * mu
+            b = b + period.weight * mu
+    return a, b
+
+
 def _scarcity_integral(scenario: Scenario, c: float, integrand) -> float:
     """Weighted sum over periods of E[integrand(period, frac, G); c G <= L].
 
@@ -234,15 +253,12 @@ def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
 
     This is the left-hand side of the zero-profit condition; it is
     non-increasing in c because added capacity is only paid for up to
-    the load in each realization.  The differentiated design adds the
-    premium revenue, which is linear in the premium scale eps.
+    the load in each realization.  It is t_tilde / horizon times A(c)
+    (``_covered_energy``) plus, under ``prt``, the premium term eps R1(c).
     """
     _check_mechanism(mechanism, RT_MECHANISMS)
     c = _check_capacity(c)
-    total = 0.0
-    for period in scenario.periods:
-        mu = float(period.generation.truncated_mean(c, period.load))
-        total += period.weight * (period.utility_price * mu)
+    total = float(_covered_energy(scenario, c)[0])
     prem = scenario.premium
     if mechanism == "prt" and prem.epsilon > 0.0 and prem.v_bar > 0.0:
         total += prem.epsilon * _premium_revenue(scenario, c)
@@ -257,23 +273,6 @@ def revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     return c * unit_revenue_rt(scenario, mechanism, c)
 
 
-def _cb_value_terms(scenario: Scenario, d):
-    """(A(d), B(d)) with w_v(d) = A(d) + v B(d), the rented-unit value.
-
-    A sums the avoided backstop cost on the energy a unit covers and B
-    the energy itself; both are non-increasing in d.  At d = 0 the cut
-    L/d is infinite and the truncated means are the full means.
-    """
-    d = np.asarray(d, dtype=float)
-    a = b = 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        for period in scenario.periods:
-            mu = period.generation.partial_first_moment(period.load / d)
-            a = a + period.weight * period.utility_price * mu
-            b = b + period.weight * mu
-    return a, b
-
-
 def cb_unit_value(scenario: Scenario, v, d):
     """Whole-window expected value of one rented capacity unit, w(d).
 
@@ -286,7 +285,7 @@ def cb_unit_value(scenario: Scenario, v, d):
     d = np.asarray(d, dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d < 0.0):
         raise ValueError("capacity must be finite and non-negative")
-    a, b = _cb_value_terms(scenario, d)
+    a, b = _covered_energy(scenario, d)
     return a + v * b
 
 
@@ -302,7 +301,7 @@ def _cb_demand_profile(scenario: Scenario, vs, pi: float) -> np.ndarray:
     if pi == 0.0:
         return np.full(vs.shape, np.inf)
     scale = scenario.capacity_scale
-    a0, b0 = _cb_value_terms(scenario, 0.0)
+    a0, b0 = _covered_energy(scenario, 0.0)
     choke = a0 + vs * b0
     live = pi <= choke * (1.0 + 1e-12)
     out = np.zeros(vs.shape)
@@ -310,7 +309,7 @@ def _cb_demand_profile(scenario: Scenario, vs, pi: float) -> np.ndarray:
         v = vs[live]
 
         def value(s):
-            a, b = _cb_value_terms(scenario, s * scale)
+            a, b = _covered_energy(scenario, s * scale)
             return a + v * b
 
         sup, _, _ = sup_level_set(value, np.minimum(pi, choke[live]), 0.0, 1.0)
@@ -379,7 +378,7 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
         np.clip(breaks, t1, t2), knots[(knots > t1) & (knots < t2)],
         np.linspace(t1, t2, CB_MIN_PANELS + 1))))
     t, w = gauss_legendre_panels(edges, CB_PANEL_ORDER)
-    a, b = _cb_value_terms(scenario, t)
+    a, b = _covered_energy(scenario, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         v_star = np.where(b > 0.0, (pi - a) / b, np.inf)
     return t1 + float(w @ prem.survival(v_star, weak=True))
@@ -447,12 +446,12 @@ def _expected_min_and_shortfall(period: PeriodProfile, q):
     return emin, eshort
 
 
-def buyer_payoff_cb(scenario: Scenario, v_i: float, q, pi: float):
+def buyer_payoff_cb(scenario: Scenario, v_i, q, pi: float):
     """Expected planning-window payoff of renting capacity q at price pi.
 
     Premium value on solar-covered load, minus the rental bill, minus
     backstop purchases for the uncovered remainder.  Concave in q; its
-    maximizer is the buyer's demand.
+    maximizer is the buyer's demand.  ``v_i`` broadcasts against ``q``.
     """
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0.0) or not np.all(np.isfinite(q_arr)):
@@ -559,15 +558,8 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
     q_hi = 2.0 * max(float(assigned.max()), 1e-6 * scenario.capacity_scale)
     q_dev = np.linspace(0.0, q_hi, grid_size)
 
-    rental = -price * q_dev[None, :]
-    held = -price * assigned
-    for period in scenario.periods:
-        emin_dev, eshort_dev = _expected_min_and_shortfall(period, q_dev)
-        emin_held, eshort_held = _expected_min_and_shortfall(period, assigned)
-        rental = rental + period.weight * (buyer_vs[:, None] * emin_dev[None, :]
-                                           - period.utility_price * eshort_dev[None, :])
-        held = held + period.weight * (buyer_vs * emin_held
-                                       - period.utility_price * eshort_held)
+    rental = buyer_payoff_cb(scenario, buyer_vs[:, None], q_dev, price)
+    held = buyer_payoff_cb(scenario, buyer_vs, assigned, price)
     bill = sum(p.weight * p.load * p.utility_price for p in scenario.periods)
     buyer_gain = float((rental.max(axis=1) - held).max()) / bill
     argmax_gap = float(np.abs(q_dev[rental.argmax(axis=1)] - assigned).max())

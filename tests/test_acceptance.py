@@ -78,7 +78,7 @@ def test_criterion_3_ordering_properties():
 
 
 def test_criterion_4_asymptotic_slopes(desk):
-    coeffs = expansion_coefficients(desk)
+    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
     assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-6)
     assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-6)
     c0 = solve_ne(desk, "srt").capacity

@@ -15,13 +15,13 @@ from conftest import DESK, random_scenario
 # --------------------------------------------------------------------- slopes
 
 def test_prt_slope_desk_closed_form(desk):
-    assert expansion_coefficients(desk).prt_slope == pytest.approx(
-        DESK["prt_slope"], abs=1e-9)
+    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-9)
 
 
 def test_cb_slope_desk_closed_form(desk):
-    assert expansion_coefficients(desk).cb_slope == pytest.approx(
-        DESK["cb_slope"], abs=1e-9)
+    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -30,7 +30,7 @@ def test_slopes_match_finite_differences(desk, eps):
     c0 = solve_ne(desk, "srt").capacity
     fd_prt = (solve_ne(desk.with_epsilon(eps), "prt").capacity - c0) / eps
     fd_cb = (solve_ne(desk.with_epsilon(eps), "cb").capacity - c0) / eps
-    coeffs = expansion_coefficients(desk)
+    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
     assert coeffs.prt_slope == pytest.approx(fd_prt, rel=5 * eps)
     assert coeffs.cb_slope == pytest.approx(fd_cb, rel=5 * eps)
 
@@ -44,7 +44,7 @@ def test_slopes_vanish_for_degenerate_premiums():
                    premium=PremiumDistribution.uniform(0.0), pi0=0.125,
                    t_tilde=1.0)
     with pytest.raises(ValueError, match="lambda is undefined"):
-        expansion_coefficients(scn)
+        expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
 
 
 def test_slopes_singular_without_boundary_density():
@@ -55,7 +55,7 @@ def test_slopes_singular_without_boundary_density():
                    premium=PremiumDistribution.uniform(0.3), pi0=0.2,
                    t_tilde=1.0)
     with pytest.raises(DerivativeSingularError):
-        expansion_coefficients(scn)
+        expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
 
 
 def test_slope_heterogeneous_zero_period_neutral(desk):
@@ -63,7 +63,7 @@ def test_slope_heterogeneous_zero_period_neutral(desk):
                           generation=GenerationDistribution.point_mass(0.0))
     doubled = Scenario(periods=desk.periods + (night,), premium=desk.premium,
                        pi0=desk.pi0, t_tilde=2.0)
-    coeffs = expansion_coefficients(doubled)
+    coeffs = expansion_coefficients(doubled, solve_ne(doubled, "srt").capacity)
     assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-9)
     assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-9)
 
@@ -101,6 +101,17 @@ def test_lambda_empirical_matches_dense_difference_oracle():
     num = np.trapezoid(slope * p * p, p)
     den = np.trapezoid(slope * p, p)
     assert lambda_ratio(prem) == pytest.approx(num / den, abs=1e-4)
+    # exact reference: the table's complementary quantile is linear on each
+    # cell between p = k/n, so int -q' p^j dp sums per-cell slopes times the
+    # cell's integral of p^j
+    q_nodes = prem.quantiles[::-1]
+    p_nodes = np.linspace(0.0, 1.0, q_nodes.size)
+    cell_slope = -np.diff(q_nodes) / np.diff(p_nodes)
+    num = np.sum(cell_slope * np.diff(p_nodes ** 3)) / 3.0
+    den = np.sum(cell_slope * np.diff(p_nodes ** 2)) / 2.0
+    assert lambda_ratio(prem) == pytest.approx(num / den, rel=1e-12)
+    with pytest.raises(ValueError, match="no derivative"):
+        prem.base_complementary_quantile_derivative(p)
 
 
 def test_lambda_rejects_degenerate():
@@ -111,12 +122,12 @@ def test_lambda_rejects_degenerate():
 # ----------------------------------------------------------------------- beta
 
 def test_beta_desk_closed_form(desk):
-    assert expansion_coefficients(desk).beta == pytest.approx(DESK["beta"],
-                                                             abs=1e-9)
+    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    assert coeffs.beta == pytest.approx(DESK["beta"], abs=1e-9)
 
 
 def test_beta_below_slope_gap(desk):
-    coeffs = expansion_coefficients(desk)
+    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
     assert coeffs.cb_slope - coeffs.prt_slope >= coeffs.beta - 1e-12
 
 
@@ -126,7 +137,7 @@ def test_beta_positive_and_vanishing_with_premium_cap(desk):
         scn = Scenario(periods=desk.periods,
                        premium=PremiumDistribution.uniform(v_bar),
                        pi0=desk.pi0, t_tilde=1.0)
-        beta = expansion_coefficients(scn).beta
+        beta = expansion_coefficients(scn, solve_ne(scn, "srt").capacity).beta
         assert beta > 0.0
         if last is not None:
             assert beta < last
@@ -139,7 +150,7 @@ def test_slope_gap_dominates_beta_for_flat_densities():
     for _ in range(6):
         scn = random_scenario(rng, epsilon=0.3, gen_kind="uniform",
                               n_periods=1)
-        coeffs = expansion_coefficients(scn)
+        coeffs = expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
         assert coeffs.cb_slope - coeffs.prt_slope >= coeffs.beta - 1e-10
 
 

@@ -241,6 +241,12 @@ def test_report_grid_always_gains_scales_0_and_1(desk_config, desk, tmp_path):
         scn = desk.with_epsilon(float(row["epsilon"]))
         for m in ("srt", "prt", "cb", "opt"):
             assert row[f"c_{m}_gw"] == repr(solve_ne(scn, m).capacity)
+    # a trailing comma leaves an empty field, which is skipped as in sweep
+    comma_dir = tmp_path / "comma"
+    assert main(["report", "--config", str(desk_config),
+                 "--epsilon-grid", "0.25,0.5,", "--out-dir", str(comma_dir)]) == 0
+    for name in ("ordering_report.csv", "capacity_table.csv"):
+        assert (comma_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 # ------------------------------------------------------------ search counts
@@ -257,11 +263,11 @@ def test_each_command_runs_each_level_set_search_once(desk, desk_config,
         run()
         return len(calls)
 
-    # srt once for every row, prt per scale (opt shares it), two gap_k
-    # scales and the expansion's own srt
-    assert searches(lambda: ordering_report(desk, DEFAULT_EPSILON_GRID)) == 9
+    # srt once for every row and for the expansion, prt per scale (opt
+    # shares it) and two gap_k scales; solve runs srt and prt only
+    assert searches(lambda: ordering_report(desk, DEFAULT_EPSILON_GRID)) == 8
     assert searches(lambda: main(["solve", "--config", str(desk_config),
-                                  "--out", str(tmp_path / "s.json")])) == 3
+                                  "--out", str(tmp_path / "s.json")])) == 2
     assert searches(lambda: main(["sweep", "--config", str(desk_config),
                                   "--param", "epsilon",
                                   "--values", "0,0.25,0.5,0.75,1",

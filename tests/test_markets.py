@@ -208,12 +208,16 @@ def test_buyer_payoff_zero_rental_pays_full_backstop(desk):
 
 
 def test_buyer_payoff_maximized_at_individual_demand(desk):
-    for v in (0.0, 0.25, 0.6):
+    vs = np.array([0.0, 0.25, 0.6])
+    for i, v in enumerate(vs):
         d_star = individual_demand_cb(desk, v, 0.125)
         grid = np.linspace(0.0, 3.0 * d_star, 1501)
         payoffs = buyer_payoff_cb(desk, v, grid, 0.125)
         assert grid[int(np.argmax(payoffs))] == pytest.approx(
             d_star, abs=grid[1] - grid[0])
+        # a column of premiums broadcasts against the grid, row for row
+        table = buyer_payoff_cb(desk, vs[:, None], grid, 0.125)
+        assert np.array_equal(table[i], buyer_payoff_cb(desk, vs[i], grid, 0.125))
 
 
 def test_buyer_payoff_unbounded_rental_cost_dominates(desk):
