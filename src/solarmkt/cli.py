@@ -39,12 +39,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _parse_fields(text: str) -> list[str]:
+    """The fields of a comma-separated list, stripped; empty ones are skipped."""
+    fields = [f.strip() for f in text.split(",") if f.strip() != ""]
+    if not fields:
+        raise ValueError(f"no values in {text!r}")
+    return fields
+
+
 def _parse_values(text: str) -> list[float]:
     """Floats from a comma-separated list; empty fields are skipped."""
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
-    if not values:
-        raise ValueError(f"no values in {text!r}")
-    return values
+    return [float(v) for v in _parse_fields(text)]
 
 
 def cmd_solve(args) -> int:
@@ -87,7 +92,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep values must be non-negative")
     if args.param == "pi0" and any(v <= 0.0 for v in values):
         raise ValueError("pi0 sweep values must be positive")
-    mechanisms = tuple(m.strip() for m in args.mechanisms.split(","))
+    mechanisms = tuple(_parse_fields(args.mechanisms))
 
     rows = []
     for value in values:

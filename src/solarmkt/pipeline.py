@@ -49,6 +49,11 @@ DEFAULT_IRRADIANCE_TO_ENERGY = 1.0e-3
 
 DEFAULT_KDE_GRID_SIZE = 1024
 
+# The KDE sums its kernels in (rows x samples) tiles of at most
+# 32 x 4096 values, 1 MiB each, to keep its working set in cache.
+_KDE_TILE_ROWS = 32
+_KDE_BLOCK = 4096
+
 
 class ScenarioConfigError(ValueError):
     """A scenario config is malformed or references missing data."""
@@ -60,6 +65,26 @@ class IrradiationRecord:
     ghi: float
 
 
+def _column_index(header: list[str], columns) -> list[int]:
+    """Positions of the named columns; a repeated name means its last one."""
+    index = {name: at for at, name in enumerate(header)}
+    return [index[name] for name in columns]
+
+
+def _data_rows(reader, width: int):
+    """The non-blank rows of a CSV reader, short ones padded with None.
+
+    These are csv.DictReader's rules: blank lines are skipped and a field
+    missing from a short row reads as None.
+    """
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            row += [None] * (width - len(row))
+        yield row
+
+
 def load_irradiation_csv(path) -> list[IrradiationRecord]:
     """Parse an hourly irradiation CSV with header timestamp,ghi_w_per_m2.
 
@@ -69,15 +94,17 @@ def load_irradiation_csv(path) -> list[IrradiationRecord]:
     path = Path(path)
     records: list[IrradiationRecord] = []
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [c for c in IRRADIATION_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in IRRADIATION_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
+        stamp_at, ghi_at = _column_index(header, IRRADIATION_COLUMNS)
+        for row in _data_rows(reader, max(stamp_at, ghi_at) + 1):
             line = reader.line_num
-            stamp = (row["timestamp"] or "").strip()
+            stamp = (row[stamp_at] or "").strip()
             try:
                 # fromisoformat before 3.11 rejects the Zulu suffix
                 datetime.fromisoformat(stamp.replace("Z", "+00:00"))
@@ -85,10 +112,10 @@ def load_irradiation_csv(path) -> list[IrradiationRecord]:
                 raise ValueError(f"{path}: line {line}: bad timestamp "
                                  f"{stamp!r}: {exc}") from None
             try:
-                ghi = float(row["ghi_w_per_m2"])
+                ghi = float(row[ghi_at])
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {line}: unparseable irradiance "
-                                 f"{row['ghi_w_per_m2']!r}") from None
+                                 f"{row[ghi_at]!r}") from None
             if not math.isfinite(ghi) or ghi < 0.0:
                 raise ValueError(f"{path}: line {line}: irradiance must be "
                                  f"finite and non-negative, got {ghi}")
@@ -148,12 +175,26 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
         raise ValueError("all samples are zero; use a point mass instead")
     grid = np.linspace(0.0, hi, grid_size)
     density = np.zeros(grid_size)
-    for start in range(0, samples.size, 4096):  # bound the temporaries
-        block = samples[start:start + 4096]
-        z_direct = (grid[:, None] - block[None, :]) / bandwidth
-        z_mirror = (grid[:, None] + block[None, :]) / bandwidth
-        density += (np.exp(-0.5 * z_direct ** 2)
-                    + np.exp(-0.5 * z_mirror ** 2)).sum(axis=1)
+    # Every (row, sample) term is exp(-0.5 * ((x -/+ s) / h)**2), evaluated
+    # in place in two reused tile buffers; each row sums the same contiguous
+    # block of terms as one broadcast over the whole grid would.
+    shape = (min(grid_size, _KDE_TILE_ROWS), min(samples.size, _KDE_BLOCK))
+    direct, mirror = np.empty(shape), np.empty(shape)
+    for start in range(0, samples.size, _KDE_BLOCK):
+        block = samples[start:start + _KDE_BLOCK]
+        for r0 in range(0, grid_size, _KDE_TILE_ROWS):
+            rows = grid[r0:r0 + _KDE_TILE_ROWS]
+            z_direct = direct[:rows.size, :block.size]
+            z_mirror = mirror[:rows.size, :block.size]
+            np.subtract.outer(rows, block, out=z_direct)
+            np.add.outer(rows, block, out=z_mirror)
+            for z in (z_direct, z_mirror):
+                z /= bandwidth
+                np.square(z, out=z)
+                z *= -0.5
+                np.exp(z, out=z)
+            z_direct += z_mirror
+            density[r0:r0 + rows.size] += z_direct.sum(axis=1)
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return GenerationDistribution.from_density_grid(grid, density, normalize=True)
 
@@ -168,17 +209,19 @@ def load_premium_survey(path, monthly_kwh: float,
     path = Path(path)
     values = []
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or SURVEY_COLUMN not in reader.fieldnames:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or SURVEY_COLUMN not in header:
             raise ValueError(f"{path}: expected a header with column "
                              f"{SURVEY_COLUMN!r}")
-        for row in reader:
+        (usd_at,) = _column_index(header, (SURVEY_COLUMN,))
+        for row in _data_rows(reader, usd_at + 1):
             line = reader.line_num
             try:
-                usd = float(row[SURVEY_COLUMN])
+                usd = float(row[usd_at])
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {line}: unparseable survey "
-                                 f"value {row[SURVEY_COLUMN]!r}") from None
+                                 f"value {row[usd_at]!r}") from None
             if not math.isfinite(usd) or usd < 0.0:
                 raise ValueError(f"{path}: line {line}: survey values must be "
                                  f"finite and non-negative, got {usd}")
@@ -265,13 +308,18 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
             if day.size < 2:
                 raise ScenarioConfigError(
                     f"{key}: {path} yields fewer than 2 daytime samples")
-            fitted = fit_generation_kde(
-                day * conversion, bandwidth=spec.get("bandwidth"),
-                grid_size=spec.get("grid_size", DEFAULT_KDE_GRID_SIZE))
+            samples = day * conversion
+            bandwidth = spec.get("bandwidth")
+            grid_size = spec.get("grid_size", DEFAULT_KDE_GRID_SIZE)
+            fitted = fit_generation_kde(samples, bandwidth=bandwidth,
+                                        grid_size=grid_size)
+            if bandwidth is None:  # the fit used Silverman's rule
+                bandwidth = _silverman_bandwidth(samples)
             provenance[key] = (
                 f"kde(path={path}, efficiency={efficiency}, "
                 f"night_threshold={threshold}, conversion={conversion}, "
                 f"day_hours={day_weight}, night_hours={night_weight}, "
+                f"bandwidth={bandwidth:.6g}, grid_size={grid_size}, "
                 f"mean={fitted.mean:.6g})")
             return fitted
     except KeyError as exc:

@@ -167,6 +167,23 @@ def test_sweep_rejects_bad_values(desk_config, tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_sweep_mechanism_list_skips_empty_fields(desk_config, tmp_path, capsys):
+    def sweep(mechanisms, out):
+        return main(["sweep", "--config", str(desk_config), "--param", "epsilon",
+                     "--mechanisms", mechanisms, "--values", "0.5",
+                     "--out", str(tmp_path / out)])
+
+    assert sweep("srt,prt", "plain.csv") == 0
+    assert sweep("srt,prt,", "trailing.csv") == 0
+    assert sweep(" srt,,prt ", "spaced.csv") == 0
+    plain = (tmp_path / "plain.csv").read_bytes()
+    assert (tmp_path / "trailing.csv").read_bytes() == plain
+    assert (tmp_path / "spaced.csv").read_bytes() == plain
+    capsys.readouterr()
+    assert sweep(",", "none.csv") == 1
+    assert "no values in ','" in capsys.readouterr().err
+
+
 def test_sweep_deterministic_bytes(desk_config, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):

@@ -3,15 +3,18 @@
 import json
 import logging
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from solarmkt import (IrradiationRecord, ScenarioConfigError,
+from solarmkt import (GenerationDistribution, IrradiationRecord,
+                      ScenarioConfigError,
                       fit_generation_kde, fit_truncated_exponential,
                       load_irradiation_csv, load_premium_survey,
                       load_scenario, prepare_generation_samples)
+from solarmkt.pipeline import _silverman_bandwidth
 
 DESK_CONFIG = {
     "pi0_usd_per_kw": 0.125,
@@ -84,6 +87,70 @@ def test_load_irradiation_empty_file_warns(tmp_path, caplog):
         records = load_irradiation_csv(path)
     assert records == []
     assert any("no irradiation records" in r.message for r in caplog.records)
+
+
+# The two CSV loaders keep csv.DictReader's row rules: blank lines are
+# skipped, a short row reads its missing fields as None, and columns are
+# found by header name wherever they sit.
+
+def test_csv_blank_lines_are_skipped_in_both_files(tmp_path):
+    irr = _write(tmp_path, "irr.csv",
+                 "timestamp,ghi_w_per_m2\n\n"
+                 "2021-06-01T10:00:00,512.5\n\n\n"
+                 "2021-06-01T11:00:00,640.0\n\n")
+    assert [r.ghi for r in load_irradiation_csv(irr)] == [512.5, 640.0]
+    survey = _write(tmp_path, "s.csv", "usd_per_month\n6.0\n\n12.0\n\n")
+    assert np.allclose(load_premium_survey(survey, monthly_kwh=600.0),
+                       [0.01, 0.02])
+
+
+def test_csv_short_row_reads_missing_fields_as_none(tmp_path):
+    irr = _write(tmp_path, "irr.csv",
+                 "timestamp,ghi_w_per_m2\n"
+                 "2021-06-01T10:00:00,512.5\n"
+                 "2021-06-01T11:00:00\n")
+    with pytest.raises(ValueError, match="line 3: unparseable irradiance None"):
+        load_irradiation_csv(irr)
+    survey = _write(tmp_path, "s.csv", "respondent,usd_per_month\n1,6.0\n2\n")
+    with pytest.raises(ValueError, match="line 3: unparseable survey value None"):
+        load_premium_survey(survey, monthly_kwh=600.0)
+
+
+def test_csv_bad_row_after_blank_lines_names_its_own_line(tmp_path):
+    irr = _write(tmp_path, "irr.csv",
+                 "timestamp,ghi_w_per_m2\n"
+                 "2021-06-01T10:00:00,512.5\n\n\n"
+                 "2021-06-01T11:00:00,-3.0\n")
+    with pytest.raises(ValueError, match="line 5: irradiance must be"):
+        load_irradiation_csv(irr)
+    survey = _write(tmp_path, "s.csv", "usd_per_month\n6.0\n\nabc\n")
+    with pytest.raises(ValueError, match="line 4: unparseable survey value"):
+        load_premium_survey(survey, monthly_kwh=600.0)
+
+
+def test_csv_columns_found_by_name_in_any_order(tmp_path):
+    irr = _write(tmp_path, "irr.csv",
+                 "site,ghi_w_per_m2,note,timestamp\n"
+                 "a,512.5,x,2021-06-01T10:00:00\n"
+                 "b,640.0,y,2021-06-01T11:00:00\n")
+    assert load_irradiation_csv(irr) == [
+        IrradiationRecord("2021-06-01T10:00:00", 512.5),
+        IrradiationRecord("2021-06-01T11:00:00", 640.0)]
+    survey = _write(tmp_path, "s.csv",
+                    "respondent,usd_per_month,zip\n1,6.0,94110\n2,12.0,94703\n")
+    assert np.allclose(load_premium_survey(survey, monthly_kwh=600.0),
+                       [0.01, 0.02])
+
+
+def test_csv_quoted_fields_parse(tmp_path):
+    irr = _write(tmp_path, "irr.csv",
+                 'timestamp,ghi_w_per_m2,note\n'
+                 '"2021-06-01T10:00:00","512.5","clear, dry"\n')
+    assert load_irradiation_csv(irr) == [
+        IrradiationRecord("2021-06-01T10:00:00", 512.5)]
+    survey = _write(tmp_path, "s.csv",
+                    'usd_per_month,comment\n"6.0","yes, ""if cheap"""\n')
+    assert np.allclose(load_premium_survey(survey, monthly_kwh=600.0), [0.01])
 
 
 # ------------------------------------------------------------- sample preparation
@@ -168,6 +235,49 @@ def test_kde_rejects_degenerate_samples():
         fit_generation_kde([2.0, 2.0, 2.0])
     with pytest.raises(ValueError):
         fit_generation_kde([1.0])
+
+
+def _broadcast_kde(samples, bandwidth, grid_size):
+    """The reflected KDE as one broadcast per 4096-sample block."""
+    grid = np.linspace(0.0, float(samples.max()) * 1.1, grid_size)
+    density = np.zeros(grid_size)
+    for start in range(0, samples.size, 4096):
+        block = samples[start:start + 4096]
+        z_direct = (grid[:, None] - block[None, :]) / bandwidth
+        z_mirror = (grid[:, None] + block[None, :]) / bandwidth
+        density += (np.exp(-0.5 * z_direct ** 2)
+                    + np.exp(-0.5 * z_mirror ** 2)).sum(axis=1)
+    density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
+    return GenerationDistribution.from_density_grid(grid, density, normalize=True)
+
+
+@pytest.mark.parametrize("n, bandwidth, grid_size", [
+    (1560, None, 1024),   # the California fixture's day-sample count
+    (5000, None, 1024),   # crosses the 4096-sample block
+    (1560, None, 7),      # fewer grid rows than one tile
+    (1560, None, 33),     # one row past a whole tile
+    (5000, None, 1000),   # a partial last tile and a partial last block
+    (1560, 0.01, 1024),   # an explicit bandwidth
+])
+def test_kde_equals_the_broadcast_formula_bit_for_bit(n, bandwidth, grid_size):
+    samples = np.random.default_rng(n + grid_size).gamma(3.0, 0.05, n)
+    expected = _broadcast_kde(
+        samples, bandwidth or _silverman_bandwidth(samples), grid_size)
+    fitted = fit_generation_kde(samples, bandwidth=bandwidth,
+                                grid_size=grid_size)
+    assert np.array_equal(fitted.grid, expected.grid)
+    assert np.array_equal(fitted.density, expected.density)
+
+
+def test_kde_peak_memory_is_bounded():
+    samples = np.random.default_rng(5).gamma(3.0, 0.05, 1560)
+    tracemalloc.start()
+    try:
+        fit_generation_kde(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ----------------------------------------------------------------- premium survey
@@ -304,6 +414,19 @@ def test_load_scenario_with_data_files(tmp_path):
     assert scn.premium.kind == "truncated_exponential"
     assert "kde" in scn.provenance["periods[0].generation"]
     assert "survey" in scn.provenance["premium"]
+
+    # the provenance names the bandwidth the fit used and its grid size
+    day, _, _ = prepare_generation_samples(
+        load_irradiation_csv(tmp_path / "irr.csv"), 0.2, 0.1)
+    silverman = _silverman_bandwidth(day * 1e-3)
+    assert (f"bandwidth={silverman:.6g}, grid_size=1024,"
+            in scn.provenance["periods[0].generation"])
+    config["periods"][0]["generation"].update(bandwidth=0.01, grid_size=257)
+    path = _write(tmp_path, "ca_explicit.json", json.dumps(config))
+    explicit = load_scenario(path)
+    assert ("bandwidth=0.01, grid_size=257,"
+            in explicit.provenance["periods[0].generation"])
+    assert explicit.periods[0].generation.grid.size == 257
 
 
 def test_load_scenario_inline_models(tmp_path):
