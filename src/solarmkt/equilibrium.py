@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .markets import (Scenario, _check_mechanism, _covered_energy,
-                      _scarcity_integral, aggregate_demand_cb, revenue_rt,
-                      unit_revenue_rt)
+                      _linearized, _scarcity_integral, aggregate_demand_cb,
+                      revenue_rt, unit_revenue_rt)
 from .numerics import sup_level_set
 
 __all__ = [
@@ -75,7 +75,8 @@ def _solve_characteristic(scenario: Scenario,
 
     The per-unit revenue is non-increasing, so the zero-profit capacity
     is the top of its level set at pi0, searched from a billionth of the
-    capacity scale with the scale itself as the first upper end.
+    capacity scale with the scale itself as the first upper end, in the
+    revenue's ``_linearized`` coordinates.
     """
     pi0 = scenario.pi0
     scale = scenario.capacity_scale
@@ -87,7 +88,8 @@ def _solve_characteristic(scenario: Scenario,
                                  residual=r_lo, bracket=(0.0, lo),
                                  iterations=0, viable=False)
     root, hi, iters = sup_level_set(
-        lambda c: unit_revenue_rt(scenario, mechanism, c), pi0, lo, scale)
+        lambda c: _linearized(unit_revenue_rt(scenario, mechanism, c)),
+        _linearized(pi0), lo, scale)
     root = float(root)
     return EquilibriumResult(
         mechanism=mechanism, capacity=root,

@@ -289,13 +289,29 @@ def cb_unit_value(scenario: Scenario, v, d):
     return a + v * b
 
 
+def _linearized(y):
+    """-1/sqrt(y), the coordinates in which covered-energy values are searched.
+
+    ``E[G; d G <= L]``, and with it ``A + v B`` and the real-time unit
+    revenue, falls as ``d**-2`` once d exceeds the load at the top
+    output, for any output density flat near zero; on that convex tail
+    regula falsi creeps up on a root from one side.  Mapped through this
+    strictly increasing transform the tail is linear in d (exactly so
+    for uniform output on [0, hi] and sums of such periods), so the
+    search's steps land on the root.  Level sets keep their tops, up to ties within an
+    ulp of the target.  Values at or below 0 map to -inf.
+    """
+    with np.errstate(divide="ignore"):
+        return -1.0 / np.sqrt(np.maximum(y, 0.0))
+
+
 def _cb_demand_profile(scenario: Scenario, vs, pi: float) -> np.ndarray:
     """Demanded capacity per buyer type at rental price pi (vectorized).
 
     At price 0 every unit is worth renting, so demand is unbounded.
     Otherwise the level sets are searched in units of the capacity
     scale, from [0, 1] with growth, so the tolerance is relative to the
-    capacities involved.
+    capacities involved, and in the values' ``_linearized`` coordinates.
     """
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
     if pi == 0.0:
@@ -310,9 +326,10 @@ def _cb_demand_profile(scenario: Scenario, vs, pi: float) -> np.ndarray:
 
         def value(s):
             a, b = _covered_energy(scenario, s * scale)
-            return a + v * b
+            return _linearized(a + v * b)
 
-        sup, _, _ = sup_level_set(value, np.minimum(pi, choke[live]), 0.0, 1.0)
+        sup, _, _ = sup_level_set(
+            value, _linearized(np.minimum(pi, choke[live])), 0.0, 1.0)
         out[live] = sup * scale
     return out
 

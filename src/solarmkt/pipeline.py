@@ -16,9 +16,9 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class ScenarioConfigError(ValueError):
     """A scenario config is malformed or references missing data."""
 
 
-@dataclass(frozen=True)
-class IrradiationRecord:
+class IrradiationRecord(NamedTuple):
     timestamp: str
     ghi: float
 
@@ -119,7 +118,7 @@ def load_irradiation_csv(path) -> list[IrradiationRecord]:
             if not math.isfinite(ghi) or ghi < 0.0:
                 raise ValueError(f"{path}: line {line}: irradiance must be "
                                  f"finite and non-negative, got {ghi}")
-            records.append(IrradiationRecord(timestamp=stamp, ghi=ghi))
+            records.append(IrradiationRecord(stamp, ghi))
     if not records:
         logger.warning("%s: no irradiation records", path)
     return records
@@ -175,9 +174,11 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
         raise ValueError("all samples are zero; use a point mass instead")
     grid = np.linspace(0.0, hi, grid_size)
     density = np.zeros(grid_size)
-    # Every (row, sample) term is exp(-0.5 * ((x -/+ s) / h)**2), evaluated
+    # Every (row, sample) term is exp(-0.5 * ((s -/+ x) / h)**2), evaluated
     # in place in two reused tile buffers; each row sums the same contiguous
-    # block of terms as one broadcast over the whole grid would.
+    # block of terms as one broadcast over the whole grid would.  Filling a
+    # tile with the block and then shifting it by the rows is faster than an
+    # outer difference, and (s - x)**2 is (x - s)**2 bit for bit.
     shape = (min(grid_size, _KDE_TILE_ROWS), min(samples.size, _KDE_BLOCK))
     direct, mirror = np.empty(shape), np.empty(shape)
     for start in range(0, samples.size, _KDE_BLOCK):
@@ -186,8 +187,10 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
             rows = grid[r0:r0 + _KDE_TILE_ROWS]
             z_direct = direct[:rows.size, :block.size]
             z_mirror = mirror[:rows.size, :block.size]
-            np.subtract.outer(rows, block, out=z_direct)
-            np.add.outer(rows, block, out=z_mirror)
+            np.copyto(z_direct, block)
+            z_direct -= rows[:, None]
+            np.copyto(z_mirror, block)
+            z_mirror += rows[:, None]
             for z in (z_direct, z_mirror):
                 z /= bandwidth
                 np.square(z, out=z)
