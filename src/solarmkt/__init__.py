@@ -2,10 +2,10 @@
 
 from .asymptotics import (DerivativeSingularError, ExpansionCoefficients,
                           FlatnessReport, OrderingReport, OrderingRow,
-                          expansion_coefficients, flatness_fit, lambda_ratio,
+                          expansion_coefficients, flatness_fit,
                           ordering_report)
 from .distributions import (GenerationDistribution, PeriodProfile,
-                            PremiumDistribution)
+                            PremiumDistribution, lambda_ratio)
 from .equilibrium import (AllocationRule, EquilibriumResult, check_viability,
                           optimal_allocation, solve_all, solve_ne,
                           solve_social_optimum, welfare, zero_profit_residual)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GenerationDistribution, PremiumDistribution
+from .distributions import GenerationDistribution, lambda_ratio
 from .equilibrium import solve_all, solve_ne
 from .markets import Scenario, _covered_energy, _premium_revenue
-from .numerics import gauss_legendre_panels, gauss_legendre_rule
 
 __all__ = [
     "ExpansionCoefficients",
@@ -28,7 +27,6 @@ __all__ = [
     "OrderingRow",
     "OrderingReport",
     "DerivativeSingularError",
-    "lambda_ratio",
     "flatness_fit",
     "expansion_coefficients",
     "ordering_report",
@@ -130,32 +128,6 @@ def _slope_terms(scenario: Scenario, c0: float):
             "the first-order expansion is singular")
     mu_sum = float(_covered_energy(scenario, c0)[1])
     return _premium_revenue(scenario, c0), denominator, mu_sum
-
-
-def lambda_ratio(prem: PremiumDistribution) -> float:
-    """Quantile-shape ratio of the premium distribution, in (0, 1).
-
-    int -q'(p) p^2 dp / int -q'(p) p dp for the base complementary
-    quantile q; invariant under the premium scale.  An empirical table's
-    q is piecewise linear, so by parts with q(1) = 0 the ratio is
-    2 int p q dp / int q dp, exact on order-2 Gauss panels between nodes.
-    """
-    if prem.v_bar <= 0.0:
-        raise ValueError("lambda is undefined for a degenerate premium "
-                         "distribution (v_bar must be positive)")
-    if prem.kind == "empirical":
-        p, w = gauss_legendre_panels(prem._p_grid, 2)
-        q = prem.base_complementary_quantile(p)
-        num = 2.0 * float(w @ (p * q))
-        den = float(w @ q)
-    else:
-        p, w = gauss_legendre_rule(0.0, 1.0, 128)
-        slope = -np.asarray(prem.base_complementary_quantile_derivative(p))
-        num = float(w @ (slope * p * p))
-        den = float(w @ (slope * p))
-    if den <= 0.0:
-        raise ValueError("premium quantile is not strictly decreasing")
-    return num / den
 
 
 def expansion_coefficients(scenario: Scenario, c0: float) -> ExpansionCoefficients:

@@ -30,6 +30,7 @@ __all__ = [
     "GenerationDistribution",
     "PremiumDistribution",
     "PeriodProfile",
+    "lambda_ratio",
 ]
 
 _DENSITY_NORM_TOL = 1.0e-8
@@ -108,17 +109,24 @@ class GenerationDistribution:
 
     # -- basic descriptors --------------------------------------------
 
-    @property
-    def support(self) -> tuple[float, float]:
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """Outputs where the mass starts or ends or the density kinks:
+        the ends of a uniform support, the atom of a point mass, or a
+        tabulated grid from the node before its first cell with mass to
+        the node after its last.  Read-only.
+        """
         if self.kind == "uniform":
-            return (self.lo, self.hi)
+            return _readonly([self.lo, self.hi])
         if self.kind == "point_mass":
-            return (self.value, self.value)
-        return (float(self.grid[0]), float(self.grid[-1]))
+            return _readonly([self.value])
+        massive = np.flatnonzero(self.density > 0.0)
+        first = max(int(massive[0]) - 1, 0)
+        return _readonly(self.grid[first:int(massive[-1]) + 2])
 
-    @property
+    @cached_property
     def support_hi(self) -> float:
-        return self.support[1]
+        return float(self.knots[-1])
 
     @cached_property
     def mean(self) -> float:
@@ -215,26 +223,26 @@ class GenerationDistribution:
             out = self.partial_first_moment(load / d)  # the mean at d = 0
         return out if out.ndim else float(out)
 
-    def quad_nodes(self, lo: float, hi: float, *, order: int = 64):
+    def quad_nodes(self, lo: float, hi: float):
         """Quadrature nodes/weights for E[h(G); lo <= G <= hi].
 
         Weights absorb the density, so ``weights @ h(nodes)`` is the
-        (partial) expectation.  Analytic kinds get one Gauss-Legendre
-        panel; tabulated kinds get per-cell panels on the stored grid so
-        the piecewise-linear density is integrated exactly.
+        (partial) expectation.  Uniform output gets one 64-node Gauss
+        panel; tabulated output gets per-cell panels between its knots,
+        so the piecewise-linear density is integrated exactly.
         """
-        a, b = self.support
-        lo, hi = max(lo, a), min(hi, b)
+        if self.kind == "uniform":
+            x, w = gauss_legendre_rule(max(lo, self.lo), min(hi, self.hi))
+            return x, w / (self.hi - self.lo)
         if self.kind == "point_mass":
             if lo <= self.value <= hi:
                 return np.array([self.value]), np.array([1.0])
             return np.empty(0), np.empty(0)
+        knots = self.knots
+        lo, hi = max(lo, knots[0]), min(hi, knots[-1])
         if hi <= lo:
             return np.empty(0), np.empty(0)
-        if self.kind == "uniform":
-            x, w = gauss_legendre_rule(lo, hi, order)
-            return x, w / (self.hi - self.lo)
-        edges = self.grid[(self.grid > lo) & (self.grid < hi)]
+        edges = knots[(knots > lo) & (knots < hi)]
         edges = np.concatenate(([lo], edges, [hi]))
         xs, ws = gauss_legendre_panels(edges, _CELL_ORDER)
         return xs, ws * np.interp(xs, self.grid, self.density)
@@ -327,6 +335,15 @@ class PremiumDistribution:
         return replace(self, epsilon=float(epsilon))
 
     # -- unscaled base distribution ------------------------------------
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """Base premiums where the survival function kinks (scaled:
+        ``epsilon * knots``): 0 and v_bar, or the distinct values of an
+        empirical table, whose quantile kinks at the fractions ``_p_grid``."""
+        if self.kind == "empirical":
+            return _readonly(np.unique(self.quantiles))
+        return _readonly([0.0, self.v_bar])
 
     @cached_property
     def _p_grid(self) -> np.ndarray:
@@ -511,6 +528,32 @@ class PremiumDistribution:
                          where=width > 0.0)
         inner = pg[jc - 1] + np.clip(frac, 0.0, 1.0) * (pg[jc] - pg[jc - 1])
         return np.where(j == 0, 0.0, np.where(j == t.size, 1.0, inner))
+
+
+def lambda_ratio(prem: PremiumDistribution) -> float:
+    """Quantile-shape ratio of the premium distribution, in (0, 1).
+
+    int -q'(p) p^2 dp / int -q'(p) p dp for the base complementary
+    quantile q; invariant under the premium scale.  An empirical table's
+    q is piecewise linear, so by parts with q(1) = 0 the ratio is
+    2 int p q dp / int q dp, exact on order-2 Gauss panels between nodes.
+    """
+    if prem.v_bar <= 0.0:
+        raise ValueError("lambda is undefined for a degenerate premium "
+                         "distribution (v_bar must be positive)")
+    if prem.kind == "empirical":
+        p, w = gauss_legendre_panels(prem._p_grid, 2)
+        q = prem.base_complementary_quantile(p)
+        num = 2.0 * float(w @ (p * q))
+        den = float(w @ q)
+    else:
+        p, w = gauss_legendre_rule(0.0, 1.0, 128)
+        slope = -np.asarray(prem.base_complementary_quantile_derivative(p))
+        num = float(w @ (slope * p * p))
+        den = float(w @ (slope * p))
+    if den <= 0.0:
+        raise ValueError("premium quantile is not strictly decreasing")
+    return num / den
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,6 @@ __all__ = [
 RT_MECHANISMS = ("srt", "prt")
 MECHANISMS = ("srt", "prt", "cb")
 
-#: Gauss-Legendre order for revenue integrals against analytic densities.
-REVENUE_QUAD_ORDER = 64
-
 #: Gauss-Legendre order of each panel of the contract-demand quadrature.
 CB_PANEL_ORDER = 8
 
@@ -233,7 +230,7 @@ def _scarcity_integral(scenario: Scenario, c: float, integrand) -> float:
         if gen.support_hi <= 0.0:
             continue
         upper = load / c if c > 0.0 else math.inf
-        g, weights = gen.quad_nodes(0.0, upper, order=REVENUE_QUAD_ORDER)
+        g, weights = gen.quad_nodes(0.0, upper)
         if g.size:
             frac = np.clip(c * g / load, 0.0, 1.0)
             total += period.weight * float(weights @ integrand(period, frac, g))
@@ -343,25 +340,6 @@ def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:
     return float(_cb_demand_profile(scenario, [v_i], pi)[0])
 
 
-def _generation_knots(scenario: Scenario) -> np.ndarray:
-    """Capacities L/g where some period's truncated mean has a kink or jump.
-
-    These are the tabulated grid nodes, the ends of a uniform support
-    and the atom of a point mass, each mapped through d = L/g.
-    """
-    knots = []
-    for period in scenario.periods:
-        gen = period.generation
-        if gen.kind == "tabulated":
-            g = gen.grid
-        elif gen.kind == "uniform":
-            g = np.array([gen.lo, gen.hi])
-        else:
-            g = np.array([gen.value])
-        knots.append(period.load / g[g > 0.0])
-    return np.concatenate(knots)
-
-
 def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
     """Total rented capacity at price pi, integrated over buyer types.
 
@@ -374,23 +352,24 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
         D(pi) = t1 + integral over [t1, t2] of P(V >= v*(t)) dt,
 
     where t1 and t2 are the demands of the zero-premium and the
-    top-premium buyer.  Those two, and for an empirical premium the
-    demands of every interior table value, come from one vectorized
-    level-set search; Gauss panels break there and at the generation
-    knots, where the integrand has kinks or jumps.  At price 0 every
-    unit is worth renting and the demand is infinite.
+    top-premium buyer.  The demands at every premium knot, those two
+    among them, come from one vectorized level-set search; Gauss panels
+    break there and at the capacities L/g of the output knots, where the
+    integrand has kinks or jumps.  At price 0 every unit is worth
+    renting and the demand is infinite.
     """
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
     prem = scenario.premium
-    levels = [0.0, prem.epsilon * prem.v_bar]
-    if prem.kind == "empirical":  # the table runs from 0 to v_bar
-        levels = np.unique(prem.epsilon * prem.quantiles)
+    # at premium scale 0 every knot is the same buyer type
+    levels = prem.epsilon * prem.knots if prem.epsilon > 0.0 else [0.0]
     breaks = _cb_demand_profile(scenario, levels, pi)
     t1, t2 = float(breaks[0]), float(breaks[-1])
     if t2 <= t1:
         return t1
-    knots = _generation_knots(scenario)
+    with np.errstate(divide="ignore"):  # a knot at 0 maps to no capacity
+        knots = np.concatenate([p.load / p.generation.knots
+                                for p in scenario.periods])
     edges = np.unique(np.concatenate((
         np.clip(breaks, t1, t2), knots[(knots > t1) & (knots < t2)],
         np.linspace(t1, t2, CB_MIN_PANELS + 1))))
@@ -405,16 +384,14 @@ def _cb_demand_bound(scenario: Scenario) -> float:
     """Supremum of aggregate rental demand over positive prices.
 
     As the price falls to 0 every buyer rents up to the largest L/g0
-    over the lit periods, with g0 the lowest output above which a
-    period has mass (infinite when g0 is 0).
+    over the lit periods, with g0 the first output knot, the lowest
+    output above which a period has mass (infinite when g0 is 0).
     """
     bound = 0.0
     for period in scenario.periods:
         gen = period.generation
         if period.weight > 0.0 and gen.mean > 0.0:
-            floor = gen.support[0]
-            if gen.kind == "tabulated":  # skip leading cells without mass
-                floor = gen.grid[max(int(np.argmax(gen.density > 0.0)) - 1, 0)]
+            floor = float(gen.knots[0])
             bound = max(bound, period.load / floor if floor > 0.0 else math.inf)
     return bound
 
@@ -424,7 +401,8 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
 
     Aggregate demand is non-increasing in the price and infinite at 0,
     so the clearing price is the top of its level set at c, searched on
-    (0, choke] with choke the top buyer's value of a first unit.  A
+    (0, choke] with choke the value of a first unit to the top buyer,
+    whose premium is epsilon * v_bar as in the demand.  A
     capacity that no positive price draws (at or above the demand
     bound, see ``_cb_demand_bound``) raises NoEquilibriumError, and a
     demand residual above 1e-7 c raises rather than returning a
@@ -438,8 +416,8 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
         raise NoEquilibriumError(
             f"capacity {c:g} is not below the demand bound {bound:g} "
             "of positive prices; no market-clearing rental price exists")
-    top = float(scenario.premium.complementary_quantile(0.0))
-    choke = float(cb_unit_value(scenario, top, 0.0))
+    prem = scenario.premium
+    choke = float(cb_unit_value(scenario, prem.epsilon * prem.v_bar, 0.0))
     price, _, _ = sup_level_set(
         lambda pi: aggregate_demand_cb(scenario, float(pi)), c, 0.0, choke)
     price = float(price)

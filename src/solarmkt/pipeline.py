@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import math
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 from typing import NamedTuple
@@ -283,12 +284,30 @@ def _resolve(path_str: str, base: Path) -> Path:
     return resolved
 
 
+@contextmanager
+def _config_section(name: str):
+    """Report what goes wrong in one config section as a config error.
+
+    A missing key, a value of the wrong JSON type and a value the model
+    rejects all become a ScenarioConfigError that starts with the
+    section's name; config errors raised inside pass through as they are.
+    """
+    try:
+        yield
+    except ScenarioConfigError:
+        raise
+    except KeyError as exc:
+        raise ScenarioConfigError(f"{name}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioConfigError(f"{name}: {exc}") from None
+
+
 def _build_generation(spec, base: Path, provenance: dict, key: str
                       ) -> GenerationDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioConfigError(f"{key}: generation spec needs a 'kind'")
     kind = spec["kind"]
-    try:
+    with _config_section(key):
         if kind == "uniform":
             provenance[key] = f"uniform({spec['lo']}, {spec['hi']})"
             return GenerationDistribution.uniform(spec["lo"], spec["hi"])
@@ -325,21 +344,16 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
                 f"bandwidth={bandwidth:.6g}, grid_size={grid_size}, "
                 f"mean={fitted.mean:.6g})")
             return fitted
-    except KeyError as exc:
-        raise ScenarioConfigError(f"{key}: missing generation field {exc}") from None
-    except ValueError as exc:
-        if isinstance(exc, ScenarioConfigError):
-            raise
-        raise ScenarioConfigError(f"{key}: {exc}") from None
     raise ScenarioConfigError(f"{key}: unknown generation kind {kind!r}")
 
 
-def _build_premium(spec, epsilon: float, base: Path, provenance: dict
+def _build_premium(spec, epsilon, base: Path, provenance: dict
                    ) -> PremiumDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioConfigError("premium spec needs a 'kind'")
     kind = spec["kind"]
-    try:
+    with _config_section("premium"):
+        epsilon = float(epsilon)
         if kind == "uniform":
             provenance["premium"] = f"uniform(v_bar={spec['v_bar']})"
             return PremiumDistribution.uniform(spec["v_bar"], epsilon=epsilon)
@@ -362,12 +376,6 @@ def _build_premium(spec, epsilon: float, base: Path, provenance: dict
                 f"inflation_factor={inflation}, rate={fitted.rate:.6g}, "
                 f"v_bar={fitted.v_bar:.6g}, mean={fitted.base_mean:.6g})")
             return fitted.with_epsilon(epsilon)
-    except KeyError as exc:
-        raise ScenarioConfigError(f"premium: missing field {exc}") from None
-    except ValueError as exc:
-        if isinstance(exc, ScenarioConfigError):
-            raise
-        raise ScenarioConfigError(f"premium: {exc}") from None
     raise ScenarioConfigError(f"unknown premium kind {kind!r}")
 
 
@@ -395,14 +403,14 @@ def load_scenario(config_path) -> Scenario:
 
     base = config_path.parent
     provenance: dict[str, str] = {}
-    epsilon = float(config.get("epsilon", 1.0))
-    premium = _build_premium(config["premium"], epsilon, base, provenance)
+    premium = _build_premium(config["premium"], config.get("epsilon", 1.0),
+                             base, provenance)
     periods = []
     for index, spec in enumerate(config["periods"]):
         key = f"periods[{index}]"
         if not isinstance(spec, dict):
             raise ScenarioConfigError(f"{key}: must be an object")
-        try:
+        with _config_section(key):
             generation = _build_generation(spec["generation"], base,
                                            provenance, f"{key}.generation")
             periods.append(PeriodProfile(
@@ -410,17 +418,9 @@ def load_scenario(config_path) -> Scenario:
                 utility_price=float(spec["utility_price_usd_per_kwh"]),
                 generation=generation,
                 weight=float(spec.get("weight", 1.0))))
-        except KeyError as exc:
-            raise ScenarioConfigError(f"{key}: missing field {exc}") from None
-        except ValueError as exc:
-            if isinstance(exc, ScenarioConfigError):
-                raise
-            raise ScenarioConfigError(f"{key}: {exc}") from None
-    try:
+    with _config_section(str(config_path)):
         return Scenario(periods=tuple(periods), premium=premium,
                         pi0=float(config["pi0_usd_per_kw"]),
                         t_tilde=float(config["t_tilde"]),
                         c_bar=float(config.get("c_bar_kw", 1.0)),
                         provenance=provenance)
-    except ValueError as exc:
-        raise ScenarioConfigError(f"{config_path}: {exc}") from None

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import solarmkt
 from solarmkt import (equilibrium, load_scenario, ordering_report, solve_all,
                       solve_ne)
+from solarmkt import cli
 from solarmkt.cli import DEFAULT_EPSILON_GRID, main
 
 DESK_CONFIG = {
@@ -167,6 +169,12 @@ def test_sweep_rejects_bad_values(desk_config, tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_zero_cost(desk_config, tmp_path, capsys):
+    assert main(["sweep", "--config", str(desk_config), "--param", "pi0",
+                 "--values", "0", "--out", str(tmp_path / "s.csv")]) == 1
+    assert "pi0 sweep values must be positive" in capsys.readouterr().err
+
+
 def test_sweep_mechanism_list_skips_empty_fields(desk_config, tmp_path, capsys):
     def sweep(mechanisms, out):
         return main(["sweep", "--config", str(desk_config), "--param", "epsilon",
@@ -219,7 +227,30 @@ def test_verify_cb_at_solved_price(desk_config, tmp_path):
     assert payload["details"]["cb_argmax_gap"] <= payload["details"]["cb_grid_step"]
 
 
+def test_verify_without_a_positive_capacity_fails(tmp_path, capsys):
+    # at pi0 = 0.6 selling at the backstop price never recovers the cost
+    config = _config_with(tmp_path, "dear.json", pi0_usd_per_kw=0.6)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(config), "--mechanism", "srt",
+                 "--samples", "10", "--out", str(out)]) == 1
+    assert "no positive equilibrium capacity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- report
+
+def test_report_exits_1_when_a_hard_check_fails(desk_config, tmp_path,
+                                                monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        return replace(ordering_report(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(cli, "ordering_report", failing)
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(desk_config),
+                 "--out-dir", str(out_dir)]) == 1
+    assert "hard ordering checks FAILED" in capsys.readouterr().err
+    assert (out_dir / "ordering_report.csv").exists()
+
 
 def test_report_writes_table_and_ordering(desk_config, tmp_path):
     out_dir = tmp_path / "report"

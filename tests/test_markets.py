@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from solarmkt import (GenerationDistribution, NoEquilibriumError,
-                      PeriodProfile, Scenario, aggregate_demand_cb,
-                      buyer_payoff_cb, cb_unit_value, clear_cb, clear_rt,
-                      individual_demand_cb, revenue_rt,
-                      unit_revenue_rt, verify_ce)
+                      PeriodProfile, PremiumDistribution, Scenario,
+                      aggregate_demand_cb, buyer_payoff_cb, cb_unit_value,
+                      clear_cb, clear_rt, individual_demand_cb, revenue_rt,
+                      solve_ne, unit_revenue_rt, verify_ce)
 from conftest import (desk_scenario, random_scenario,
                       random_tabulated_generation)
 
@@ -110,6 +110,42 @@ def test_zero_output_period_is_revenue_neutral(desk):
     for mech in ("srt", "prt"):
         for c in (0.5, 2.0, 3.3):
             assert revenue_rt(doubled, mech, c) == revenue_rt(desk, mech, c)
+
+
+def _lit_point_mass_scenario(pi0=0.8):
+    """Output fixed at g0 = 0.5 against load 2 (cut at c = 4), beside a
+    uniform period on [0, 1]; every value is exact in binary."""
+    fixed = PeriodProfile(load=2.0, utility_price=0.8, weight=1.5,
+                          generation=GenerationDistribution.point_mass(0.5))
+    spread = PeriodProfile(load=1.0, utility_price=1.0,
+                           generation=GenerationDistribution.uniform(0.0, 1.0))
+    return Scenario(periods=(fixed, spread),
+                    premium=PremiumDistribution.uniform(0.6, epsilon=0.7),
+                    pi0=pi0, t_tilde=3.0)
+
+
+def test_lit_point_mass_prt_revenue_closed_form():
+    scn = _lit_point_mass_scenario()
+    eps, v_bar = 0.7, 0.6
+
+    def closed_form(c):
+        q = v_bar * (1.0 - c * 0.5 / 2.0)  # base premium of the served share
+        fixed = 1.5 * (0.8 + eps * q) * 0.5 if c * 0.5 <= 2.0 else 0.0
+        m = min(1.0, 1.0 / c)  # uniform output on [0, 1], load 1
+        spread = m ** 2 / 2.0 + eps * v_bar * (m ** 2 / 2.0 - c * m ** 3 / 3.0)
+        return scn.period_scale * (fixed + spread)
+
+    for c in (0.5, 3.0, 3.999, 4.0, 4.001, 6.0):
+        assert unit_revenue_rt(scn, "prt", c) == pytest.approx(
+            closed_form(c), rel=1e-12)
+
+
+def test_lit_point_mass_prt_equilibrium_verifies():
+    scn = _lit_point_mass_scenario()
+    solved = solve_ne(scn, "prt")
+    assert 0.0 < solved.capacity < 4.0
+    report = verify_ce(scn, "prt", solved.capacity, 500)
+    assert report.passed, report
 
 
 # ------------------------------------------------------------ contract market

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from solarmkt import (GenerationDistribution, IrradiationRecord,
-                      ScenarioConfigError,
+                      PremiumDistribution, ScenarioConfigError,
                       fit_generation_kde, fit_truncated_exponential,
                       load_irradiation_csv, load_premium_survey,
                       load_scenario, prepare_generation_samples)
+from solarmkt.cli import main
 from solarmkt.pipeline import _silverman_bandwidth
 
 DESK_CONFIG = {
@@ -471,3 +472,50 @@ def test_load_scenario_schema_errors(tmp_path):
     path = _write(tmp_path, "kind.json", json.dumps(bad_kind))
     with pytest.raises(ScenarioConfigError, match="unknown premium kind"):
         load_scenario(path)
+
+
+def test_load_scenario_truncated_exponential_premium(tmp_path):
+    config = dict(DESK_CONFIG, epsilon=0.8, premium={
+        "kind": "truncated_exponential", "rate": 4.0, "v_bar": 0.6})
+    scn = load_scenario(_write(tmp_path, "texp.json", json.dumps(config)))
+    assert scn.premium == PremiumDistribution.truncated_exponential(
+        4.0, 0.6, epsilon=0.8)
+    assert scn.provenance["premium"] == "truncated_exponential(rate=4.0, v_bar=0.6)"
+
+    config["premium"] = dict(config["premium"], rate=-1.0)
+    path = _write(tmp_path, "negative.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError, match=r"^premium: .*rate"):
+        load_scenario(path)
+
+
+#: (keys down to the field, bad value, section the error names) for values
+#: of the wrong JSON type, one per config section; None names the config.
+WRONG_TYPES = [
+    (("periods", 0, "generation", "lo"), "abc", "periods[0].generation"),
+    (("premium", "v_bar"), None, "premium"),
+    (("epsilon",), [1], "premium"),
+    (("periods", 0, "load_gwh"), None, "periods[0]"),
+    (("t_tilde",), [1], None),
+]
+
+
+@pytest.mark.parametrize("keys, value, section", WRONG_TYPES,
+                         ids=[".".join(map(str, k)) for k, _, _ in WRONG_TYPES])
+def test_wrong_json_types_are_config_errors(tmp_path, capsys, keys, value,
+                                            section):
+    config = json.loads(json.dumps(DESK_CONFIG))
+    spec = config
+    for key in keys[:-1]:
+        spec = spec[key]
+    spec[keys[-1]] = value
+    path = _write(tmp_path, "bad.json", json.dumps(config))
+    prefix = f"{path if section is None else section}: "
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(prefix)
+
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}")
+    assert "Traceback" not in err
