@@ -19,12 +19,13 @@ night hours, so bounded supports are first-class here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import gauss_legendre_panels, gauss_legendre_rule
+from .numerics import _leggauss, gauss_legendre_panels, gauss_legendre_rule
 
 __all__ = [
     "GenerationDistribution",
@@ -40,6 +41,12 @@ def _require_finite(name, *values):
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def _clamp(x, lo, hi):
+    """``np.clip(x, lo, hi)`` in two ufunc calls, without clip's
+    Python-level dispatch; the same values up to the sign of a zero."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _readonly(a):
@@ -125,6 +132,10 @@ class GenerationDistribution:
         return _readonly(self.grid[first:int(massive[-1]) + 2])
 
     @cached_property
+    def _knot_list(self) -> list[float]:
+        return self.knots.tolist()
+
+    @cached_property
     def support_hi(self) -> float:
         return float(self.knots[-1])
 
@@ -157,11 +168,31 @@ class GenerationDistribution:
         cells = f0 * m2 + s * (m3 - g0 * m2)
         return _readonly(np.concatenate(([0.0], np.cumsum(cells))))
 
+    @cached_property
+    def _float_tables(self):
+        """Grid, density and first-moment table as lists of floats."""
+        return self.grid.tolist(), self.density.tolist(), self._cum1.tolist()
+
+    @cached_property
+    def _cell_rule(self):
+        """Gauss nodes and density-weighted weights of every cell between
+        the knots, ``_CELL_ORDER`` per cell; read-only."""
+        xs, ws = gauss_legendre_panels(self.knots, _CELL_ORDER)
+        return _readonly(xs), _readonly(ws * np.interp(xs, self.grid, self.density))
+
+    def _cut_cell(self, a: float, b: float):
+        """``_cell_rule`` on the one cell [a, b], in the arithmetic of
+        ``gauss_legendre_panels``."""
+        x, w = _leggauss(_CELL_ORDER)
+        half = 0.5 * (b - a)
+        xs = (a + half) + half * x
+        return xs, (half * w) * np.interp(xs, self.grid, self.density)
+
     def _tab_partials(self, x):
         """Exact (mass, first-moment) integrals of the density up to x."""
         g, f = self.grid, self.density
-        xc = np.clip(x, g[0], g[-1])
-        j = np.clip(np.searchsorted(g, xc, side="right") - 1, 0, g.size - 2)
+        xc = _clamp(x, g[0], g[-1])
+        j = _clamp(np.searchsorted(g, xc, side="right") - 1, 0, g.size - 2)
         g0 = g[j]
         s = (f[j + 1] - f[j]) / (g[j + 1] - g0)
         t = xc - g0
@@ -187,7 +218,7 @@ class GenerationDistribution:
         """P(G <= x)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "uniform":
-            return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+            return _clamp((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         if self.kind == "point_mass":
             return np.where(x >= self.value, 1.0, 0.0)
         return self._tab_partials(x)[0]
@@ -203,11 +234,35 @@ class GenerationDistribution:
         if self.kind == "point_mass":
             return np.where(x >= self.value, self.value, 0.0)
         if self.kind == "uniform":
-            xc = np.clip(x, self.lo, self.hi)
+            xc = _clamp(x, self.lo, self.hi)
             m1 = 0.5 * (xc ** 2 - self.lo ** 2) / (self.hi - self.lo)
         else:
             m1 = self._tab_partials(x)[1]
         return np.where(x >= self.support_hi, self.mean, m1)
+
+    def _partial_first_moment_float(self, x: float) -> float:
+        """``partial_first_moment`` at one float, in plain floats.
+
+        The arithmetic is the numpy kernel's at a 0-d argument, operation
+        for operation (``**`` on a numpy scalar is the C ``pow`` that
+        Python's is), so the two agree bit for bit.
+        """
+        if self.kind == "point_mass":
+            return self.value if x >= self.value else 0.0
+        if x >= self.support_hi:
+            return self.mean
+        if self.kind == "uniform":
+            lo, hi = self.lo, self.hi
+            xc = min(max(x, lo), hi)
+            return 0.5 * (xc ** 2 - lo ** 2) / (hi - lo)
+        g, f, cum1 = self._float_tables
+        xc = min(max(x, g[0]), g[-1])
+        j = min(max(bisect_right(g, xc) - 1, 0), len(g) - 2)
+        g0 = g[j]
+        s = (f[j + 1] - f[j]) / (g[j + 1] - g0)
+        m2 = 0.5 * (xc ** 2 - g0 ** 2)
+        m3 = (xc ** 3 - g0 ** 3) / 3.0
+        return cum1[j] + f[j] * m2 + s * (m3 - g0 * m2)
 
     def truncated_mean(self, d, load: float):
         """E[G 1{d G <= L}]: expected output counted only under scarcity.
@@ -229,7 +284,10 @@ class GenerationDistribution:
         Weights absorb the density, so ``weights @ h(nodes)`` is the
         (partial) expectation.  Uniform output gets one 64-node Gauss
         panel; tabulated output gets per-cell panels between its knots,
-        so the piecewise-linear density is integrated exactly.
+        so the piecewise-linear density is integrated exactly.  Those
+        cells come from ``_cell_rule``, built once; only a cell that lo
+        or hi cuts is laid anew.  The arrays may be read-only views of
+        that table.
         """
         if self.kind == "uniform":
             x, w = gauss_legendre_rule(max(lo, self.lo), min(hi, self.hi))
@@ -238,14 +296,26 @@ class GenerationDistribution:
             if lo <= self.value <= hi:
                 return np.array([self.value]), np.array([1.0])
             return np.empty(0), np.empty(0)
-        knots = self.knots
+        knots = self._knot_list
         lo, hi = max(lo, knots[0]), min(hi, knots[-1])
         if hi <= lo:
             return np.empty(0), np.empty(0)
-        edges = knots[(knots > lo) & (knots < hi)]
-        edges = np.concatenate(([lo], edges, [hi]))
-        xs, ws = gauss_legendre_panels(edges, _CELL_ORDER)
-        return xs, ws * np.interp(xs, self.grid, self.density)
+        i = bisect_right(knots, lo)  # knots[i - 1] <= lo < knots[i]
+        j = bisect_left(knots, hi)   # knots[j - 1] < hi <= knots[j]
+        if i == j:
+            return self._cut_cell(lo, hi)
+        start = i - 1 if lo == knots[i - 1] else i
+        stop = j if hi == knots[j] else j - 1
+        xs, ws = self._cell_rule
+        parts = [(xs[start * _CELL_ORDER:stop * _CELL_ORDER],
+                  ws[start * _CELL_ORDER:stop * _CELL_ORDER])]
+        if start == i:
+            parts.insert(0, self._cut_cell(lo, knots[i]))
+        if stop < j:
+            parts.append(self._cut_cell(knots[j - 1], hi))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n realizations (inverse-CDF sampling for tabulated kinds)."""
@@ -359,7 +429,7 @@ class PremiumDistribution:
         lo, hi = (float(p.min()), float(p.max())) if p.size else (0.0, 0.0)
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("probability outside [0, 1]")
-        p = np.clip(p, 0.0, 1.0)
+        p = _clamp(p, 0.0, 1.0)
         if self.v_bar == 0.0:
             return np.zeros_like(p)
         if self.kind == "uniform":
@@ -500,9 +570,9 @@ class PremiumDistribution:
             return out if out.ndim else float(out)
         base = v / self.epsilon
         if self.kind == "uniform":
-            out = np.clip(1.0 - base / self.v_bar, 0.0, 1.0)
+            out = _clamp(1.0 - base / self.v_bar, 0.0, 1.0)
         elif self.kind == "truncated_exponential":
-            bc = np.clip(base, 0.0, self.v_bar)
+            bc = _clamp(base, 0.0, self.v_bar)
             out = np.where(base < 0.0, 1.0,
                            np.where(base > self.v_bar, 0.0,
                                     (np.exp(-self.rate * bc)
@@ -521,12 +591,12 @@ class PremiumDistribution:
         t, pg = self.quantiles, self._p_grid
         base = np.asarray(base, dtype=float)
         j = np.searchsorted(t, base, side="left" if weak else "right")
-        jc = np.clip(j, 1, t.size - 1)
+        jc = _clamp(j, 1, t.size - 1)
         width = t[jc] - t[jc - 1]
         frac = np.divide(base - t[jc - 1], width,
                          out=np.ones_like(base, dtype=float),
                          where=width > 0.0)
-        inner = pg[jc - 1] + np.clip(frac, 0.0, 1.0) * (pg[jc] - pg[jc - 1])
+        inner = pg[jc - 1] + _clamp(frac, 0.0, 1.0) * (pg[jc] - pg[jc - 1])
         return np.where(j == 0, 0.0, np.where(j == t.size, 1.0, inner))
 
 

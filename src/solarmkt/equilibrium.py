@@ -188,9 +188,9 @@ def welfare(scenario: Scenario, c: float) -> float:
     if c < 0.0 or not math.isfinite(c):
         raise ValueError(f"capacity must be finite and non-negative, got {c}")
     prem = scenario.premium
-    icq = prem.integrated_complementary_quantile
     premium_value = _scarcity_integral(
-        scenario, c, lambda period, frac, g: period.load * icq(frac))
+        scenario, c, prem.integrated_complementary_quantile,
+        lambda period, value, g: period.load * value)
     total = 0.0
     for period in scenario.periods:
         gen, load = period.generation, period.load

@@ -204,10 +204,18 @@ def _covered_energy(scenario: Scenario, d):
     under scarcity: A is the backstop part of the real-time unit revenue
     and of viability, B the energy term of the contract slope, and
     A(d) + v B(d) a rented unit's value.  Both are non-increasing in d;
-    at d = 0 the truncated means are the full means.
+    at d = 0 the truncated means are the full means.  A float d is
+    summed in plain floats, in the numpy path's arithmetic at a 0-d d.
     """
-    d = np.asarray(d, dtype=float)
     a = b = 0.0
+    if isinstance(d, float):
+        for period in scenario.periods:
+            cut = period.load / d if d else math.copysign(math.inf, d)
+            mu = period.generation._partial_first_moment_float(cut)
+            a = a + period.weight * period.utility_price * mu
+            b = b + period.weight * mu
+        return a, b
+    d = np.asarray(d, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         for period in scenario.periods:
             mu = period.generation.partial_first_moment(period.load / d)
@@ -216,15 +224,19 @@ def _covered_energy(scenario: Scenario, d):
     return a, b
 
 
-def _scarcity_integral(scenario: Scenario, c: float, integrand) -> float:
-    """Weighted sum over periods of E[integrand(period, frac, G); c G <= L].
+def _scarcity_integral(scenario: Scenario, c: float, kernel,
+                       integrand) -> float:
+    """Weighted sum over periods of
+    E[integrand(period, kernel(frac), G); c G <= L].
 
-    ``frac = c G / L`` is the served fraction of the load, clipped to
-    [0, 1].  The premium terms of the differentiated revenue, of its
-    first-order slope and of welfare are all this one integral with
-    different integrands.  Dark periods, with no output, add 0.
+    ``frac = c G / L`` is the served fraction of the load, capped at 1
+    (it is never negative).  The premium terms of the differentiated
+    revenue, of its first-order slope and of welfare are all this one
+    integral with different premium kernels and integrands.  The kernel
+    is called once, on the nodes of every lit period together; dark
+    periods, with no output, add 0.
     """
-    total = 0.0
+    lit, fracs = [], []
     for period in scenario.periods:
         gen, load = period.generation, period.load
         if gen.support_hi <= 0.0:
@@ -232,17 +244,26 @@ def _scarcity_integral(scenario: Scenario, c: float, integrand) -> float:
         upper = load / c if c > 0.0 else math.inf
         g, weights = gen.quad_nodes(0.0, upper)
         if g.size:
-            frac = np.clip(c * g / load, 0.0, 1.0)
-            total += period.weight * float(weights @ integrand(period, frac, g))
+            lit.append((period, g, weights))
+            fracs.append(np.minimum(c * g / load, 1.0))
+    if not lit:
+        return 0.0
+    values = kernel(fracs[0] if len(fracs) == 1 else np.concatenate(fracs))
+    total, start = 0.0, 0
+    for period, g, weights in lit:
+        stop = start + g.size
+        total += period.weight * float(
+            weights @ integrand(period, values[start:stop], g))
+        start = stop
     return total
 
 
 def _premium_revenue(scenario: Scenario, c: float) -> float:
     """R1(c): premium revenue per unit capacity and planning window at
     premium scale 1, before the lifetime scaling."""
-    base = scenario.premium.base_complementary_quantile
     return _scarcity_integral(scenario, c,
-                              lambda period, frac, g: base(frac) * g)
+                              scenario.premium.base_complementary_quantile,
+                              lambda period, q, g: q * g)
 
 
 def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
@@ -298,6 +319,8 @@ def _linearized(y):
     search's steps land on the root.  Level sets keep their tops, up to ties within an
     ulp of the target.  Values at or below 0 map to -inf.
     """
+    if isinstance(y, float):
+        return -1.0 / math.sqrt(y) if y > 0.0 else -math.inf
     with np.errstate(divide="ignore"):
         return -1.0 / np.sqrt(np.maximum(y, 0.0))
 
@@ -400,13 +423,15 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     """Price at which aggregate rental demand equals the capacity c.
 
     Aggregate demand is non-increasing in the price and infinite at 0,
-    so the clearing price is the top of its level set at c, searched on
-    (0, choke] with choke the value of a first unit to the top buyer,
-    whose premium is epsilon * v_bar as in the demand.  A
-    capacity that no positive price draws (at or above the demand
-    bound, see ``_cb_demand_bound``) raises NoEquilibriumError, and a
-    demand residual above 1e-7 c raises rather than returning a
-    silently bad price.
+    so the clearing price is the top of its level set at c.  It lies
+    between the values of unit c to the zero-premium buyer, A(c), and
+    to the top buyer, A(c) + epsilon v_bar B(c) (``_covered_energy``):
+    at the first every buyer rents at least c, above the second every
+    buyer rents at most c.  That is the bracket searched.  A capacity
+    that no positive price draws (at or above the demand bound, see
+    ``_cb_demand_bound``) raises NoEquilibriumError, and a demand
+    residual above 1e-7 c raises rather than returning a silently bad
+    price.
     """
     c = _check_capacity(c)
     if c == 0.0:
@@ -417,9 +442,10 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
             f"capacity {c:g} is not below the demand bound {bound:g} "
             "of positive prices; no market-clearing rental price exists")
     prem = scenario.premium
-    choke = float(cb_unit_value(scenario, prem.epsilon * prem.v_bar, 0.0))
+    a, b = _covered_energy(scenario, c)
     price, _, _ = sup_level_set(
-        lambda pi: aggregate_demand_cb(scenario, float(pi)), c, 0.0, choke)
+        lambda pi: aggregate_demand_cb(scenario, float(pi)), c,
+        a, a + prem.epsilon * prem.v_bar * b)
     price = float(price)
     res = aggregate_demand_cb(scenario, price) - c
     if abs(res) > 1e-7 * c:

@@ -72,7 +72,8 @@ def sup_level_set(fn, targets, lo: float, hi: float):
     """Largest x >= lo with fn(x) >= target, for a non-increasing fn.
 
     ``targets`` may be a scalar or an array; ``fn`` is called with an
-    array of its shape, or with a float for a scalar target.  Callers
+    array of its shape, or with a float for a scalar target.  The search
+    reuses the arrays it hands fn, so fn must not keep them.  Callers
     guarantee fn(lo) >= target, so fn is never evaluated at lo.  Where
     fn(hi) >= target the upper end grows eightfold, at most
     ``MAX_GROWTHS`` times, and then raises ConvergenceError rather than
@@ -146,20 +147,26 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
 
 
 def _sup_level_set_array(fn, targets, lo: float, hi: float):
-    """``sup_level_set`` for an array of targets, element by element."""
-    x_lo = np.full(targets.shape, lo)
-    x_hi = np.full(targets.shape, hi)
-    g_lo = np.full(targets.shape, np.nan)
+    """``sup_level_set`` for an array of targets, element by element.
+
+    Each end, and the new iterate, is a pair of rows: its position and
+    fn - target there.  So one masked copy moves both, and fn is handed
+    the same buffer at every step.
+    """
+    low = np.empty((2,) + targets.shape)
+    high = np.empty_like(low)
+    new = np.empty_like(low)
+    low[0], low[1], high[0] = lo, np.nan, hi
+    (x_lo, g_lo), (x_hi, g_hi), (x, g) = low, high, new
     evals = 0
     for _ in range(MAX_GROWTHS + 1):
-        g_hi = fn(x_hi) - targets
+        np.subtract(fn(x_hi), targets, out=g_hi)
         evals += 1
         above = g_hi >= 0.0
-        if not above.any():
+        if not np.count_nonzero(above):
             break
-        np.copyto(x_lo, x_hi, where=above)
-        np.copyto(g_lo, g_hi, where=above)
-        x_hi = np.where(above, 8.0 * x_hi, x_hi)
+        np.copyto(low, high, where=above)
+        np.multiply(x_hi, 8.0, out=x_hi, where=above)
     else:
         raise _unbounded(float(np.max(x_lo)))
     grown = x_hi.copy()
@@ -170,19 +177,16 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         mid = 0.5 * (x_lo + x_hi)
         tol = X_RTOL * x_hi
         open_ = (width > tol) & (mid > x_lo) & (mid < x_hi)
-        if not open_.any():
+        if not np.count_nonzero(open_):
             return mid, grown, evals
         half = 0.5 * width
         reach = np.minimum(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))
         step = np.fmin(np.fmax(np.abs(d) - k1 * width * width, 0.0), reach)
-        x = mid - np.copysign(step, d)
-        g = fn(x) - targets
+        np.subtract(mid, np.copysign(step, d), out=x)
+        np.subtract(fn(x), targets, out=g)
         evals += 1
-        above = g >= 0.0
-        up, down = open_ & above, open_ & ~above
-        np.copyto(x_lo, x, where=up)
-        np.copyto(g_lo, g, where=up)
-        np.copyto(x_hi, x, where=down)
-        np.copyto(g_hi, g, where=down)
+        up = open_ & (g >= 0.0)
+        np.copyto(low, new, where=up)
+        np.copyto(high, new, where=open_ ^ up)
         rad *= 0.5

@@ -68,6 +68,17 @@ def random_premium(rng, epsilon: float) -> PremiumDistribution:
         rng.uniform(1.0, 30.0), rng.uniform(0.05, 1.0), epsilon=epsilon)
 
 
+def random_empirical_premium(rng, epsilon: float) -> PremiumDistribution:
+    """An empirical premium table of 30, 300 or 4,000 exponential samples.
+
+    A factory of its own, so that ``random_premium`` draws what it always
+    drew and the scenarios of the tests that use it stay the same.
+    """
+    n = int(rng.choice((30, 300, 4000)))
+    return PremiumDistribution.empirical(
+        rng.exponential(rng.uniform(0.05, 0.5), n), epsilon=epsilon)
+
+
 def random_scenario(rng, epsilon: float, gen_kind: str = "uniform",
                     n_periods: int | None = None) -> Scenario:
     """A viable random instance (capital cost inside the viability margin)."""
