@@ -34,9 +34,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FLATNESS_SCAN_POINTS = 4097
-
-
 class DerivativeSingularError(ValueError):
     """The truncated-mean derivative vanishes at the base capacity."""
 
@@ -71,8 +68,8 @@ class FlatnessReport:
 
     ``r0`` holds the per-period midpoint density level (None for point
     masses, which have no density and are excluded); ``delta`` is the
-    smallest uniform relative band containing every scanned density, so
-    0 means exactly flat.
+    smallest uniform relative band containing every density value on
+    the window, so 0 means exactly flat.
     """
 
     r0: tuple[float | None, ...]
@@ -81,22 +78,34 @@ class FlatnessReport:
 
 
 def _density_range(gen: GenerationDistribution, upper: float):
-    xs = np.linspace(0.0, upper, _FLATNESS_SCAN_POINTS)[1:]
-    vals = np.asarray(gen.pdf(xs), dtype=float)
+    """Least and greatest density on (0, upper].
+
+    The density is linear between knots and may jump at one, so its
+    extremes on the window are among its values at 0, at the knots
+    inside, at the upper end, and at the midpoints between these.
+    """
+    knots = gen.knots
+    ends = np.concatenate(([0.0], knots[(knots > 0.0) & (knots < upper)],
+                           [upper]))
+    vals = gen.pdf(np.concatenate((ends, 0.5 * (ends[1:] + ends[:-1]))))
     return float(vals.min()), float(vals.max())
 
 
 def flatness_fit(scenario: Scenario, c_srt: float) -> FlatnessReport:
-    """Fit the tightest flat-density band on (0, L/c_srt] per period."""
+    """Fit the tightest flat-density band on (0, L/c_srt] per period.
+
+    The band is exact (see ``_density_range``).  A period whose output
+    has a single knot, an atom, has no density and is left out.
+    """
     if c_srt <= 0.0 or not math.isfinite(c_srt):
         raise ValueError(f"c_srt must be positive and finite, got {c_srt}")
     levels: list[float | None] = []
     deltas: list[float | None] = []
     for index, period in enumerate(scenario.periods):
         gen = period.generation
-        if gen.kind == "point_mass":
-            logger.warning("period %d has a point-mass output model; "
-                           "excluded from the flatness fit", index)
+        if gen.knots.size == 1:
+            logger.info("period %d has a point-mass output model; "
+                        "excluded from the flatness fit", index)
             levels.append(None)
             deltas.append(None)
             continue
@@ -223,7 +232,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
         if math.isfinite(flatness.delta):
             delta_bound = (1.0 - coeffs.lam) / (1.0 + 3.0 * coeffs.lam)
             informational = flatness.delta > delta_bound
-    except (ValueError, DerivativeSingularError) as exc:
+    except ValueError as exc:  # DerivativeSingularError among them
         logger.info("expansion coefficients unavailable: %s", exc)
 
     gap_k = None

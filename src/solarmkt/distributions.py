@@ -348,7 +348,8 @@ class PremiumDistribution:
     """Distribution of buyer solar premiums V = eps * base premium.
 
     ``v_bar`` is the top of the *unscaled* base support, so the scaled
-    support is [0, eps * v_bar].  Kinds: ``uniform`` on [0, v_bar],
+    support is [0, eps * v_bar].  It is positive: ``eps = 0`` is the one
+    way to say "no premium".  Kinds: ``uniform`` on [0, v_bar],
     ``truncated_exponential`` (rate, truncated at v_bar), ``empirical``
     (piecewise-linear quantile table anchored at 0).
     """
@@ -395,8 +396,9 @@ class PremiumDistribution:
     @staticmethod
     def _check_common(v_bar: float, epsilon: float):
         _require_finite("premium parameters", v_bar, epsilon)
-        if v_bar < 0.0:
-            raise ValueError(f"v_bar must be non-negative, got {v_bar}")
+        if v_bar <= 0.0:
+            raise ValueError(f"v_bar must be positive, got {v_bar}; "
+                             "use epsilon=0 for no premium")
         if epsilon < 0.0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
 
@@ -430,8 +432,6 @@ class PremiumDistribution:
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("probability outside [0, 1]")
         p = _clamp(p, 0.0, 1.0)
-        if self.v_bar == 0.0:
-            return np.zeros_like(p)
         if self.kind == "uniform":
             return self.v_bar * (1.0 - p)
         if self.kind == "truncated_exponential":
@@ -460,8 +460,6 @@ class PremiumDistribution:
         """d/dp of the base inverse survival; ValueError for an empirical
         table, which is piecewise linear."""
         p = np.asarray(p, dtype=float)
-        if self.v_bar == 0.0:
-            return np.zeros_like(p)
         if self.kind == "uniform":
             return np.full_like(p, -self.v_bar)
         if self.kind == "truncated_exponential":
@@ -471,8 +469,6 @@ class PremiumDistribution:
 
     @cached_property
     def base_mean(self) -> float:
-        if self.v_bar == 0.0:
-            return 0.0
         if self.kind == "uniform":
             return 0.5 * self.v_bar
         if self.kind == "truncated_exponential":
@@ -514,7 +510,7 @@ class PremiumDistribution:
         if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
             raise ValueError("served fraction outside [0, 1]")
         s = np.clip(s, 0.0, 1.0)
-        if self.epsilon == 0.0 or self.v_bar == 0.0:
+        if self.epsilon == 0.0:
             out = np.zeros_like(s)
         elif self.kind == "uniform":
             out = self.epsilon * self.v_bar * (s - 0.5 * s * s)
@@ -564,7 +560,7 @@ class PremiumDistribution:
     def survival(self, v, *, weak: bool = False):
         """P(V > v), or P(V >= v) when weak=True (differs only at atoms)."""
         v = np.asarray(v, dtype=float)
-        if self.epsilon == 0.0 or self.v_bar == 0.0:
+        if self.epsilon == 0.0:
             # degenerate at zero
             out = np.where(v < 0.0, 1.0, np.where((v <= 0.0) & weak, 1.0, 0.0))
             return out if out.ndim else float(out)
@@ -608,9 +604,6 @@ def lambda_ratio(prem: PremiumDistribution) -> float:
     q is piecewise linear, so by parts with q(1) = 0 the ratio is
     2 int p q dp / int q dp, exact on order-2 Gauss panels between nodes.
     """
-    if prem.v_bar <= 0.0:
-        raise ValueError("lambda is undefined for a degenerate premium "
-                         "distribution (v_bar must be positive)")
     if prem.kind == "empirical":
         p, w = gauss_legendre_panels(prem._p_grid, 2)
         q = prem.base_complementary_quantile(p)

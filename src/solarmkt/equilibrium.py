@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .markets import (Scenario, _check_mechanism, _covered_energy,
-                      _linearized, _scarcity_integral, aggregate_demand_cb,
-                      revenue_rt, unit_revenue_rt)
+from .markets import (Scenario, _check_mechanism, _linearized,
+                      _scarcity_integral, aggregate_demand_cb, revenue_rt,
+                      unit_revenue_rt)
 from .numerics import sup_level_set
 
 __all__ = [
@@ -207,11 +207,11 @@ def welfare(scenario: Scenario, c: float) -> float:
 def check_viability(scenario: Scenario) -> tuple[bool, float]:
     """Whether selling all output at the backstop price recovers capital cost.
 
-    Returns the flag and the per-unit margin (lifetime backstop revenue
-    per capacity unit, A(0), minus pi0); the boundary counts as viable.
+    Returns the flag and the per-unit margin (the ``srt`` unit revenue of
+    the first unit, A(0) lifetime-scaled, minus pi0); the boundary
+    counts as viable.
     """
-    revenue = scenario.period_scale * float(_covered_energy(scenario, 0.0)[0])
-    margin = revenue - scenario.pi0
+    margin = unit_revenue_rt(scenario, "srt", 0.0) - scenario.pi0
     return margin >= 0.0, margin
 
 

@@ -278,7 +278,7 @@ def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     c = _check_capacity(c)
     total = float(_covered_energy(scenario, c)[0])
     prem = scenario.premium
-    if mechanism == "prt" and prem.epsilon > 0.0 and prem.v_bar > 0.0:
+    if mechanism == "prt" and prem.epsilon > 0.0:
         total += prem.epsilon * _premium_revenue(scenario, c)
     return scenario.period_scale * total
 
@@ -403,22 +403,6 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
     return t1 + float(w @ prem.survival(v_star, weak=True))
 
 
-def _cb_demand_bound(scenario: Scenario) -> float:
-    """Supremum of aggregate rental demand over positive prices.
-
-    As the price falls to 0 every buyer rents up to the largest L/g0
-    over the lit periods, with g0 the first output knot, the lowest
-    output above which a period has mass (infinite when g0 is 0).
-    """
-    bound = 0.0
-    for period in scenario.periods:
-        gen = period.generation
-        if period.weight > 0.0 and gen.mean > 0.0:
-            floor = float(gen.knots[0])
-            bound = max(bound, period.load / floor if floor > 0.0 else math.inf)
-    return bound
-
-
 def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     """Price at which aggregate rental demand equals the capacity c.
 
@@ -427,22 +411,21 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     between the values of unit c to the zero-premium buyer, A(c), and
     to the top buyer, A(c) + epsilon v_bar B(c) (``_covered_energy``):
     at the first every buyer rents at least c, above the second every
-    buyer rents at most c.  That is the bracket searched.  A capacity
-    that no positive price draws (at or above the demand bound, see
-    ``_cb_demand_bound``) raises NoEquilibriumError, and a demand
+    buyer rents at most c.  That is the bracket searched.  Where B(c)
+    is 0, unit c covers no energy in any period, so no buyer values it
+    and no positive price draws it: NoEquilibriumError.  A demand
     residual above 1e-7 c raises rather than returning a silently bad
     price.
     """
     c = _check_capacity(c)
     if c == 0.0:
         raise ValueError("contract-based clearing needs positive capacity")
-    bound = _cb_demand_bound(scenario)
-    if c >= bound:
-        raise NoEquilibriumError(
-            f"capacity {c:g} is not below the demand bound {bound:g} "
-            "of positive prices; no market-clearing rental price exists")
-    prem = scenario.premium
     a, b = _covered_energy(scenario, c)
+    if not b > 0.0:
+        raise NoEquilibriumError(
+            f"capacity {c:g} covers no energy in any period; no positive "
+            "rental price draws it, so no market-clearing price exists")
+    prem = scenario.premium
     price, _, _ = sup_level_set(
         lambda pi: aggregate_demand_cb(scenario, float(pi)), c,
         a, a + prem.epsilon * prem.v_bar * b)
@@ -523,10 +506,10 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
 
     A buyer's payoff (v - p) q - u (L - q) is affine in q, so its best
     point of the deviation grid linspace(0, L, grid_size) is an end
-    point, q = 0 or q = L; both are exact grid points and are evaluated
-    with the grid's own expressions.  Served buyers hold q = L, so their
-    gain max(0, -(v - p + u) L) is non-increasing in v; unserved buyers
-    hold q = 0, so theirs, max(0, (v - p + u) L), is non-decreasing.
+    point, q = 0 or q = L (both exact grid points), where the payoff is
+    -u L or (v - p) L.  Served buyers hold q = L, so their gain
+    max(0, -(v - p + u) L) is non-increasing in v; unserved buyers hold
+    q = 0, so theirs, max(0, (v - p + u) L), is non-decreasing.
     Over the sorted buyer grid only the two types next to the threshold
     can attain the largest gain: the lowest served and the highest
     unserved.  Abundant draws serve everyone, so the lowest type decides
@@ -557,9 +540,9 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
             served_hi = load * prem.survival(t, weak=True)
             clear = np.maximum(served_lo - s, s - served_hi) / load
             max_clear = max(max_clear, float(clear.max(initial=0.0)))
-        # the grid's own payoff expressions at q = 0 and at q = L
-        dev_lo = (v - price) * 0.0 - u * (load - 0.0)
-        dev_hi = (v - price) * load - u * (load - load)
+        # the grid's payoffs at q = 0 and at q = L
+        dev_lo = -u * load
+        dev_hi = (v - price) * load
         held = (v - price) * assigned - u * (load - assigned)
         buyer_gain = np.maximum(dev_lo, dev_hi) - held
         # sellers: payoff price * q on [0, supply]

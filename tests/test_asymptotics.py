@@ -36,15 +36,22 @@ def test_slopes_match_finite_differences(desk, eps):
 
 
 def test_slopes_vanish_for_degenerate_premiums():
-    # the slopes alone would be 0, but the expansion needs lambda, which
-    # a premium without spread does not have
+    # a premium without spread cannot be built: scale 0 says "no
+    # premium".  There the premium terms, slopes times the scale, vanish
+    # and every design solves to the srt capacity, while the slopes, the
+    # derivatives in the scale, read only the base premium.
+    with pytest.raises(ValueError, match="v_bar must be positive"):
+        PremiumDistribution.uniform(0.0)
     period = PeriodProfile(load=1.0, utility_price=1.0,
                            generation=GenerationDistribution.uniform(0.0, 1.0))
     scn = Scenario(periods=(period,),
-                   premium=PremiumDistribution.uniform(0.0), pi0=0.125,
-                   t_tilde=1.0)
-    with pytest.raises(ValueError, match="lambda is undefined"):
-        expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
+                   premium=PremiumDistribution.uniform(0.6, epsilon=0.0),
+                   pi0=0.125, t_tilde=1.0)
+    c0 = solve_ne(scn, "srt").capacity
+    for mechanism in ("prt", "cb", "opt"):
+        assert solve_ne(scn, mechanism).capacity == pytest.approx(c0, rel=1e-12)
+    assert expansion_coefficients(scn, c0) == expansion_coefficients(
+        scn.with_epsilon(1.0), c0)
 
 
 def test_slopes_singular_without_boundary_density():
@@ -115,7 +122,8 @@ def test_lambda_empirical_matches_dense_difference_oracle():
 
 
 def test_lambda_rejects_degenerate():
-    with pytest.raises(ValueError):
+    # a premium without spread, where lambda is undefined, is not built
+    with pytest.raises(ValueError, match="v_bar must be positive"):
         lambda_ratio(PremiumDistribution.uniform(0.0))
 
 
@@ -169,6 +177,8 @@ def test_flatness_uniform_density_is_exactly_flat(desk):
 
 
 def test_flatness_tabulated_grid_scan_oracle():
+    # the window (0, 0.5] ends on a grid node and the density is linear
+    # between nodes, so its band is that of the nodes inside
     grid = np.linspace(0.0, 2.0, 513)
     dens = 0.4 + 0.1 * np.sin(grid * 3.0)
     gen = GenerationDistribution.from_density_grid(grid, dens, normalize=True)
@@ -178,10 +188,11 @@ def test_flatness_tabulated_grid_scan_oracle():
                    t_tilde=1.0)
     c_srt = 2.0
     report = flatness_fit(scn, c_srt)
-    xs = np.linspace(1e-9, 1.0 / c_srt, 200001)
-    vals = np.asarray(gen.pdf(xs))
+    vals = np.asarray(gen.pdf(grid[grid <= 1.0 / c_srt]))
     oracle = (vals.max() - vals.min()) / (vals.max() + vals.min())
-    assert report.delta == pytest.approx(oracle, abs=2e-4)
+    assert report.delta == pytest.approx(oracle, rel=0.0, abs=1e-14)
+    assert report.r0[0] == pytest.approx(0.5 * (vals.max() + vals.min()),
+                                         rel=0.0, abs=1e-14)
 
 
 def test_flatness_excludes_point_mass_with_warning(desk, caplog):
@@ -189,11 +200,14 @@ def test_flatness_excludes_point_mass_with_warning(desk, caplog):
                           generation=GenerationDistribution.point_mass(0.0))
     scn = Scenario(periods=desk.periods + (night,), premium=desk.premium,
                    pi0=desk.pi0, t_tilde=2.0)
-    with caplog.at_level(logging.WARNING):
+    with caplog.at_level(logging.INFO):
         report = flatness_fit(scn, 2.0)
     assert report.r0[1] is None
+    assert report.per_period_delta[1] is None
     assert report.delta == 0.0
-    assert any("point-mass" in r.message for r in caplog.records)
+    # night hours are the recommended config: noted, not warned about
+    assert any("point-mass" in r.message and r.levelno == logging.INFO
+               for r in caplog.records)
 
 
 # ------------------------------------------------------------ ordering report

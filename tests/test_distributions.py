@@ -278,6 +278,12 @@ def test_premium_validation():
         PremiumDistribution.uniform(0.5, epsilon=-1.0)
     with pytest.raises(ValueError):
         PremiumDistribution.truncated_exponential(0.0, 0.5)
+    # a premium without spread: epsilon = 0 is the one way to say "none"
+    for build in (lambda: PremiumDistribution.uniform(0.0),
+                  lambda: PremiumDistribution.truncated_exponential(3.0, 0.0),
+                  lambda: PremiumDistribution.empirical([0.0, 0.0])):
+        with pytest.raises(ValueError, match="epsilon=0"):
+            build()
 
 
 def test_generation_sampling_matches_distribution():

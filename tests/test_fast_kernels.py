@@ -23,8 +23,7 @@ from solarmkt import (GenerationDistribution, PeriodProfile,
                       PremiumDistribution, Scenario, aggregate_demand_cb,
                       check_viability, clear_cb, distributions, markets,
                       solve_ne)
-from solarmkt.markets import (_cb_demand_bound, _covered_energy,
-                              _linearized, _scarcity_integral)
+from solarmkt.markets import _covered_energy, _linearized, _scarcity_integral
 from solarmkt.numerics import gauss_legendre_panels
 from conftest import (random_empirical_premium, random_premium,
                       random_scenario, random_tabulated_generation)
@@ -198,11 +197,22 @@ def test_real_time_solves_on_tabulated_output_skip_the_numpy_kernels(
     assert calls["gauss_legendre_panels"] <= len(scn.periods)
 
 
+def _demand_bound(scn: Scenario) -> float:
+    """Largest L/g0 over the lit periods, g0 the first output knot: past
+    it no unit covers energy in any period (infinite when g0 is 0)."""
+    bound = 0.0
+    for p in scn.periods:
+        g0 = float(p.generation.knots[0])
+        if p.generation.mean > 0.0:
+            bound = max(bound, p.load / g0 if g0 > 0.0 else math.inf)
+    return bound
+
+
 @settings(max_examples=20, deadline=None)
 @given(scenarios(), st.floats(0.2, 1.5))
 def test_cb_clearing_price_lies_between_the_bottom_and_top_values(scn, share):
     c = share * solve_ne(scn, "cb").capacity
-    c = min(c, 0.9 * _cb_demand_bound(scn))
+    c = min(c, 0.9 * _demand_bound(scn))
     if not c > 0.0:
         return
     a, b = _covered_energy(scn, c)

@@ -81,11 +81,6 @@ def test_lambda_ratio_lives_beside_the_premium_tables():
 DISTRIBUTION_FIELDS = {"kind", "grid", "density", "quantiles", "_p_grid",
                        "lo", "hi", "value"}
 
-#: (module, function, field) reads allowed outside ``distributions``:
-#: the flatness fit excludes point masses, which have no density.
-ALLOWED = {("asymptotics", "flatness_fit", "kind")}
-
-
 class _FieldReads(ast.NodeVisitor):
     def __init__(self):
         self.stack = ["<module>"]
@@ -109,6 +104,5 @@ def test_market_layers_read_no_distribution_fields(module):
     visitor = _FieldReads()
     visitor.visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
     stray = [f"{module}.py:{line} {func} reads .{attr}"
-             for func, attr, line in visitor.reads
-             if (module, func, attr) not in ALLOWED]
+             for func, attr, line in visitor.reads]
     assert not stray, "read the distribution's knots instead: " + "; ".join(stray)

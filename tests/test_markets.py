@@ -239,6 +239,21 @@ def test_clear_cb_rejects_oversupply(desk):
         clear_cb(scn, 1.01 / 0.2)
 
 
+def test_clear_cb_clears_at_the_cut_of_a_lit_atom():
+    # output fixed at g0 = 0.5 against load 2: unit c = 4 still covers
+    # g0, worth A(4) = 0.5 to every buyer, who all rent 4 at that price;
+    # past the cut no unit covers any energy and no price draws it
+    period = PeriodProfile(load=2.0, utility_price=1.0,
+                           generation=GenerationDistribution.point_mass(0.5))
+    scn = Scenario(periods=(period,), premium=PremiumDistribution.uniform(0.6),
+                   pi0=0.1, t_tilde=1.0)
+    clearing = clear_cb(scn, 4.0)
+    assert clearing.price == pytest.approx(0.5, rel=1e-9)
+    assert abs(clearing.demand_residual) <= 1e-7 * 4.0
+    with pytest.raises(NoEquilibriumError):
+        clear_cb(scn, 4.001)
+
+
 def test_buyer_payoff_zero_rental_pays_full_backstop(desk):
     assert buyer_payoff_cb(desk, 0.3, 0.0, 0.125) == pytest.approx(-1.0)
 

@@ -487,6 +487,11 @@ def test_load_scenario_truncated_exponential_premium(tmp_path):
     with pytest.raises(ScenarioConfigError, match=r"^premium: .*rate"):
         load_scenario(path)
 
+    config["premium"] = dict(config["premium"], rate=4.0, v_bar=0)
+    path = _write(tmp_path, "flat.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError, match=r"^premium: .*v_bar"):
+        load_scenario(path)
+
 
 #: (keys down to the field, bad value, section the error names) for values
 #: of the wrong JSON type, one per config section; None names the config.
