@@ -7,8 +7,8 @@ from .asymptotics import (DerivativeSingularError, ExpansionCoefficients,
 from .distributions import (GenerationDistribution, PeriodProfile,
                             PremiumDistribution, lambda_ratio)
 from .equilibrium import (AllocationRule, EquilibriumResult, check_viability,
-                          optimal_allocation, solve_all, solve_ne,
-                          solve_social_optimum, welfare, zero_profit_residual)
+                          optimal_allocation, solve_all, solve_ne, welfare,
+                          zero_profit_residual)
 from .markets import (CbClearing, CeVerification, ClearingOutcome, Scenario,
                       aggregate_demand_cb, buyer_payoff_cb, cb_unit_value,
                       clear_cb, clear_rt, individual_demand_cb, revenue_rt,
@@ -28,7 +28,6 @@ __all__ = [
     "individual_demand_cb", "aggregate_demand_cb", "clear_cb",
     "buyer_payoff_cb", "verify_ce",
     "EquilibriumResult", "AllocationRule", "solve_ne", "solve_all",
-    "solve_social_optimum",
     "optimal_allocation", "welfare", "check_viability", "zero_profit_residual",
     "ExpansionCoefficients", "FlatnessReport", "OrderingRow", "OrderingReport",
     "lambda_ratio", "flatness_fit", "expansion_coefficients",

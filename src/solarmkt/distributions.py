@@ -163,8 +163,8 @@ class GenerationDistribution:
         g0, g1 = g[:-1], g[1:]
         f0, f1 = f[:-1], f[1:]
         s = (f1 - f0) / (g1 - g0)
-        m2 = 0.5 * (g1 ** 2 - g0 ** 2)
-        m3 = (g1 ** 3 - g0 ** 3) / 3.0
+        m2 = 0.5 * (g1 * g1 - g0 * g0)
+        m3 = (g1 * g1 * g1 - g0 * g0 * g0) / 3.0
         cells = f0 * m2 + s * (m3 - g0 * m2)
         return _readonly(np.concatenate(([0.0], np.cumsum(cells))))
 
@@ -197,8 +197,8 @@ class GenerationDistribution:
         s = (f[j + 1] - f[j]) / (g[j + 1] - g0)
         t = xc - g0
         m0 = self._cum0[j] + f[j] * t + 0.5 * s * t * t
-        m2 = 0.5 * (xc ** 2 - g0 ** 2)
-        m3 = (xc ** 3 - g0 ** 3) / 3.0
+        m2 = 0.5 * (xc * xc - g0 * g0)
+        m3 = (xc * xc * xc - g0 * g0 * g0) / 3.0
         m1 = self._cum1[j] + f[j] * m2 + s * (m3 - g0 * m2)
         return m0, m1
 
@@ -235,7 +235,7 @@ class GenerationDistribution:
             return np.where(x >= self.value, self.value, 0.0)
         if self.kind == "uniform":
             xc = _clamp(x, self.lo, self.hi)
-            m1 = 0.5 * (xc ** 2 - self.lo ** 2) / (self.hi - self.lo)
+            m1 = 0.5 * (xc * xc - self.lo * self.lo) / (self.hi - self.lo)
         else:
             m1 = self._tab_partials(x)[1]
         return np.where(x >= self.support_hi, self.mean, m1)
@@ -243,9 +243,10 @@ class GenerationDistribution:
     def _partial_first_moment_float(self, x: float) -> float:
         """``partial_first_moment`` at one float, in plain floats.
 
-        The arithmetic is the numpy kernel's at a 0-d argument, operation
-        for operation (``**`` on a numpy scalar is the C ``pow`` that
-        Python's is), so the two agree bit for bit.
+        The arithmetic is the numpy kernel's, operation for operation,
+        with powers written as products (numpy's vector loops and the C
+        ``pow`` can round ``**`` differently), so this agrees bit for bit
+        with a 0-d and with a 1-d argument alike.
         """
         if self.kind == "point_mass":
             return self.value if x >= self.value else 0.0
@@ -254,14 +255,14 @@ class GenerationDistribution:
         if self.kind == "uniform":
             lo, hi = self.lo, self.hi
             xc = min(max(x, lo), hi)
-            return 0.5 * (xc ** 2 - lo ** 2) / (hi - lo)
+            return 0.5 * (xc * xc - lo * lo) / (hi - lo)
         g, f, cum1 = self._float_tables
         xc = min(max(x, g[0]), g[-1])
         j = min(max(bisect_right(g, xc) - 1, 0), len(g) - 2)
         g0 = g[j]
         s = (f[j + 1] - f[j]) / (g[j + 1] - g0)
-        m2 = 0.5 * (xc ** 2 - g0 ** 2)
-        m3 = (xc ** 3 - g0 ** 3) / 3.0
+        m2 = 0.5 * (xc * xc - g0 * g0)
+        m3 = (xc * xc * xc - g0 * g0 * g0) / 3.0
         return cum1[j] + f[j] * m2 + s * (m3 - g0 * m2)
 
     def truncated_mean(self, d, load: float):
@@ -510,9 +511,7 @@ class PremiumDistribution:
         if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
             raise ValueError("served fraction outside [0, 1]")
         s = np.clip(s, 0.0, 1.0)
-        if self.epsilon == 0.0:
-            out = np.zeros_like(s)
-        elif self.kind == "uniform":
+        if self.kind == "uniform":
             out = self.epsilon * self.v_bar * (s - 0.5 * s * s)
         elif self.kind == "truncated_exponential":
             # The antiderivative t - t log t, differenced between

@@ -25,7 +25,6 @@ __all__ = [
     "AllocationRule",
     "solve_ne",
     "solve_all",
-    "solve_social_optimum",
     "optimal_allocation",
     "welfare",
     "check_viability",
@@ -149,11 +148,6 @@ def solve_all(scenario: Scenario,
         else:
             results[m] = solve_ne(scenario, m)
     return results
-
-
-def solve_social_optimum(scenario: Scenario) -> EquilibriumResult:
-    """Welfare-maximizing capacity (identical equation to the prt design)."""
-    return solve_ne(scenario, "opt")
 
 
 def optimal_allocation(scenario: Scenario, period_index: int, c: float,

@@ -325,33 +325,52 @@ def _linearized(y):
         return -1.0 / np.sqrt(np.maximum(y, 0.0))
 
 
-def _cb_demand_profile(scenario: Scenario, vs, pi: float) -> np.ndarray:
-    """Demanded capacity per buyer type at rental price pi (vectorized).
+def _cb_demand_profile(scenario: Scenario, vs, pi: float):
+    """Demanded capacity per buyer type at rental price pi.
 
-    At price 0 every unit is worth renting, so demand is unbounded.
-    Otherwise the level sets are searched in units of the capacity
-    scale, from [0, 1] with growth, so the tolerance is relative to the
-    capacities involved, and in the values' ``_linearized`` coordinates.
+    A float ``vs`` is one buyer, searched in plain floats, and gives a
+    float; anything else is an array of buyer types, searched together
+    in one array search, and gives an array.  Both take the same steps
+    in the same arithmetic, so a buyer's demand is the same bits either
+    way.  At price 0 every unit is worth renting, so demand is
+    unbounded; a buyer whose choke value is below pi rents nothing.
     """
+    a0, b0 = _covered_energy(scenario, 0.0)
+    if isinstance(vs, float):
+        if pi == 0.0:
+            return math.inf
+        choke = a0 + vs * b0
+        if not pi <= choke * (1.0 + 1e-12):
+            return 0.0
+        return _cb_demand_search(scenario, vs, min(pi, choke))
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
     if pi == 0.0:
         return np.full(vs.shape, np.inf)
-    scale = scenario.capacity_scale
-    a0, b0 = _covered_energy(scenario, 0.0)
     choke = a0 + vs * b0
     live = pi <= choke * (1.0 + 1e-12)
     out = np.zeros(vs.shape)
     if live.any():
-        v = vs[live]
-
-        def value(s):
-            a, b = _covered_energy(scenario, s * scale)
-            return _linearized(a + v * b)
-
-        sup, _, _ = sup_level_set(
-            value, _linearized(np.minimum(pi, choke[live])), 0.0, 1.0)
-        out[live] = sup * scale
+        out[live] = _cb_demand_search(scenario, vs[live],
+                                      np.minimum(pi, choke[live]))
     return out
+
+
+def _cb_demand_search(scenario: Scenario, v, target):
+    """Largest capacity d with A(d) + v B(d) >= target, for a float or
+    an array of premiums v and targets at most their choke values.
+
+    The level sets are searched in units of the capacity scale, from
+    [0, 1] with growth, so the tolerance is relative to the capacities
+    involved, and in the values' ``_linearized`` coordinates.
+    """
+    scale = scenario.capacity_scale
+
+    def value(s):
+        a, b = _covered_energy(scenario, s * scale)
+        return _linearized(a + v * b)
+
+    sup, _, _ = sup_level_set(value, _linearized(target), 0.0, 1.0)
+    return sup * scale
 
 
 def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:
@@ -360,7 +379,7 @@ def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:
         raise ValueError(f"price must be finite and non-negative, got {pi}")
     if v_i < 0.0 or not math.isfinite(v_i):
         raise ValueError(f"premium must be finite and non-negative, got {v_i}")
-    return float(_cb_demand_profile(scenario, [v_i], pi)[0])
+    return _cb_demand_profile(scenario, float(v_i), float(pi))
 
 
 def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
@@ -375,18 +394,25 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
         D(pi) = t1 + integral over [t1, t2] of P(V >= v*(t)) dt,
 
     where t1 and t2 are the demands of the zero-premium and the
-    top-premium buyer.  The demands at every premium knot, those two
-    among them, come from one vectorized level-set search; Gauss panels
-    break there and at the capacities L/g of the output knots, where the
-    integrand has kinks or jumps.  At price 0 every unit is worth
-    renting and the demand is infinite.
+    top-premium buyer.  Gauss panels break at the demand of every
+    premium knot, where the integrand kinks, and at the capacities L/g
+    of the output knots, where it kinks or jumps.  With at most two
+    knots (an analytic premium, or scale 0, where every knot is the
+    same buyer) each knot's demand is its own plain-float search;
+    an empirical table's knots share one array search.  At price 0
+    every unit is worth renting and the demand is infinite.
     """
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
     prem = scenario.premium
-    # at premium scale 0 every knot is the same buyer type
-    levels = prem.epsilon * prem.knots if prem.epsilon > 0.0 else [0.0]
-    breaks = _cb_demand_profile(scenario, levels, pi)
+    if prem.epsilon == 0.0:
+        return _cb_demand_profile(scenario, 0.0, pi)
+    levels = prem.epsilon * prem.knots
+    if levels.size <= 2:
+        breaks = np.array([_cb_demand_profile(scenario, v, pi)
+                           for v in levels.tolist()])
+    else:
+        breaks = _cb_demand_profile(scenario, levels, pi)
     t1, t2 = float(breaks[0]), float(breaks[-1])
     if t2 <= t1:
         return t1

@@ -17,7 +17,7 @@ import pytest
 
 from solarmkt import (GenerationDistribution, PeriodProfile, Scenario,
                       expansion_coefficients, flatness_fit, lambda_ratio,
-                      solve_ne, solve_social_optimum, verify_ce, welfare)
+                      solve_ne, verify_ce, welfare)
 from solarmkt.cli import main as cli_main
 from conftest import DESK, random_scenario
 
@@ -65,7 +65,7 @@ def test_criterion_3_ordering_properties():
                               gen_kind=kind)
         srt = solve_ne(scn, "srt")
         c_prt = solve_ne(scn, "prt").capacity
-        c_opt = solve_social_optimum(scn).capacity
+        c_opt = solve_ne(scn, "opt").capacity
         slack = 1e-9 * max(1.0, c_prt)
         assert srt.capacity <= c_prt + slack
         assert c_prt == c_opt
@@ -126,7 +126,7 @@ def test_criterion_6_welfare_concavity_and_consistency():
         scn = random_scenario(rng, epsilon=float(rng.uniform(0.1, 1.0)),
                               gen_kind="uniform" if i % 3 else "tabulated",
                               n_periods=1)
-        c_opt = solve_social_optimum(scn).capacity
+        c_opt = solve_ne(scn, "opt").capacity
         grid = np.linspace(0.0, 2.5 * c_opt, 100)
         values = np.array([welfare(scn, c) for c in grid])
         worst_curvature = max(worst_curvature, float(np.diff(values, 2).max()))

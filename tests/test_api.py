@@ -9,11 +9,11 @@ import solarmkt
 SUBMODULES = ("distributions", "markets", "equilibrium", "asymptotics",
               "pipeline")
 
-#: Forwarding views removed in favour of the methods and the
+#: Forwarding views removed in favour of the methods, the solve and the
 #: coefficients they forwarded to.
 REMOVED = ("truncated_mean", "truncated_mean_inverse", "complementary_quantile",
            "mean_premium", "prt_slope_at_zero", "cb_slope_at_zero",
-           "beta_constant")
+           "beta_constant", "solve_social_optimum")
 
 
 def test_package_exports_the_submodules_lists():

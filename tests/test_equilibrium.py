@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from solarmkt import (check_viability, optimal_allocation, solve_all,
-                      solve_ne, solve_social_optimum, unit_revenue_rt,
-                      welfare, zero_profit_residual)
+                      solve_ne, unit_revenue_rt, welfare,
+                      zero_profit_residual)
 from solarmkt.equilibrium import SOLVE_MECHANISMS
 from solarmkt.numerics import sup_level_set
 from solarmkt.pipeline import load_scenario
@@ -31,7 +31,7 @@ def test_solved_results_have_small_residuals(desk):
 
 def test_social_optimum_equals_prt_exactly(desk):
     # same characterizing equation solved by the same routine
-    assert solve_social_optimum(desk).capacity == solve_ne(desk, "prt").capacity
+    assert solve_ne(desk, "opt").capacity == solve_ne(desk, "prt").capacity
 
 
 def test_no_premium_collapses_all_mechanisms():
@@ -139,7 +139,7 @@ def test_welfare_concave_on_grid(desk):
 
 
 def test_welfare_argmax_matches_social_optimum(desk):
-    c_opt = solve_social_optimum(desk).capacity
+    c_opt = solve_ne(desk, "opt").capacity
     grid = np.linspace(1e-6, 2.5 * c_opt, 400)
     vals = np.array([welfare(desk, c) for c in grid])
     assert abs(grid[int(np.argmax(vals))] - c_opt) <= grid[1] - grid[0]

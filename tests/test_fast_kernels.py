@@ -7,13 +7,15 @@ tests hold each of these to the numpy formula it replaces, bit for bit;
 the guards keep the real-time solves off the numpy paths and the
 contract clearing inside its bracket.
 
-numpy's own 0-d and 1-d evaluations of a tabulated partial moment can
-differ in the last bit (a 0-d ``x ** 3`` is the C ``pow``, an array's
-is numpy's vector loop), so the plain-float path is held to the 0-d
-one, which every float capacity took before.
+The partial moments write their powers as products, so the plain-float
+path is held to numpy's 0-d and 1-d evaluations alike; a ``**`` would
+round differently in numpy's vector loops than in the C ``pow``.  A
+buyer's contract demand searched in plain floats is held to its element
+of the array search over many buyers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from solarmkt import (GenerationDistribution, PeriodProfile,
                       PremiumDistribution, Scenario, aggregate_demand_cb,
                       check_viability, clear_cb, distributions, markets,
                       solve_ne)
-from solarmkt.markets import _covered_energy, _linearized, _scarcity_integral
+from solarmkt.markets import (_cb_demand_profile, _covered_energy, _linearized,
+                              _scarcity_integral)
 from solarmkt.numerics import gauss_legendre_panels
 from conftest import (random_empirical_premium, random_premium,
                       random_scenario, random_tabulated_generation)
@@ -97,17 +100,21 @@ def _capacities(scn: Scenario, fractions, most: int = 10**6) -> list[float]:
 @settings(max_examples=60, deadline=None)
 @given(scenarios(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
 def test_float_covered_energy_is_the_numpy_sum_bit_for_bit(scn, fractions):
-    for d in _capacities(scn, fractions):
+    ds = _capacities(scn, fractions)
+    a1, b1 = _covered_energy(scn, np.asarray(ds))
+    for d, a1_d, b1_d in zip(ds, a1.tolist(), b1.tolist()):
         a, b = _covered_energy(scn, d)
         a0, b0 = _covered_energy(scn, np.asarray(d))
         assert type(a) is float and type(b) is float
-        assert (a, b) == (float(a0), float(b0))
+        assert (a, b) == (float(a0), float(b0)) == (a1_d, b1_d)
         assert _linearized(a) == float(_linearized(np.asarray(a0)))
     for period in scn.periods:
         gen = period.generation
-        for x in (*gen.knots.tolist(), *fractions, 0.0, math.inf):
+        xs = [*gen.knots.tolist(), *fractions, 0.0, math.inf]
+        along = gen.partial_first_moment(np.asarray(xs)).tolist()
+        for x, want_1d in zip(xs, along):
             want = float(gen.partial_first_moment(np.asarray(x)))
-            assert gen._partial_first_moment_float(x) == want
+            assert gen._partial_first_moment_float(x) == want == want_1d
 
 
 def _panel_nodes(gen: GenerationDistribution, lo: float, hi: float):
@@ -170,6 +177,22 @@ def test_stacked_scarcity_integral_is_the_per_period_sum(scn, fractions):
                 _per_period_integral(scn, c, kernel, integrand)
 
 
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4),
+       st.one_of(st.just(0.0), st.floats(1e-6, 1.2)))
+def test_float_cb_demand_is_its_element_of_the_array_search(scn, shares,
+                                                            level):
+    prem = scn.premium
+    top = prem.epsilon * prem.v_bar
+    vs = [0.0, top, *(share * top for share in shares)]
+    a0, b0 = _covered_energy(scn, 0.0)
+    pi = level * (a0 + top * b0)
+    along = _cb_demand_profile(scn, np.asarray(vs), pi).tolist()
+    for v, want in zip(vs, along):
+        got = _cb_demand_profile(scn, v, pi)
+        assert type(got) is float and got == want
+
+
 # ------------------------------------------------------------ call guards
 
 def test_real_time_solves_on_tabulated_output_skip_the_numpy_kernels(
@@ -195,6 +218,30 @@ def test_real_time_solves_on_tabulated_output_skip_the_numpy_kernels(
         assert solve_ne(scn, mechanism).viable
     assert calls["partial_first_moment"] == 0
     assert calls["gauss_legendre_panels"] <= len(scn.periods)
+
+
+@pytest.mark.parametrize("premium", [
+    PremiumDistribution.uniform(0.6, epsilon=0.5),
+    PremiumDistribution.truncated_exponential(5.0, 0.6, epsilon=0.5),
+    PremiumDistribution.uniform(0.6, epsilon=0.0)],
+    ids=["uniform", "truncated_exponential", "no_premium"])
+def test_analytic_premium_demand_makes_no_array_search(monkeypatch, premium):
+    rng = np.random.default_rng(3)
+    scn = replace(random_scenario(rng, 0.5, "tabulated", n_periods=2),
+                  premium=premium)
+    ndims = []
+    search = markets.sup_level_set
+
+    def recording(fn, targets, lo, hi):
+        ndims.append(np.ndim(targets))
+        return search(fn, targets, lo, hi)
+
+    monkeypatch.setattr(markets, "sup_level_set", recording)
+    a0, b0 = _covered_energy(scn, 0.0)
+    for pi in np.linspace(0.0, 1.1 * (a0 + 0.3 * b0), 7).tolist():
+        aggregate_demand_cb(scn, pi)
+    clear_cb(scn, solve_ne(scn, "cb").capacity)
+    assert ndims and set(ndims) == {0}
 
 
 def _demand_bound(scn: Scenario) -> float:
@@ -238,15 +285,26 @@ def test_cb_clearing_makes_no_search_at_the_choke_price(monkeypatch, power):
                    premium=PremiumDistribution.uniform(0.6), pi0=0.1,
                    t_tilde=1.0)
     c = solve_ne(scn, "cb").capacity
-    searches = []
-    search = markets.sup_level_set
+    prices = []  # per price clear_cb tries, its demand searches' evaluations
+    inside = []
+    search, demand = markets.sup_level_set, markets.aggregate_demand_cb
 
     def recording(fn, targets, lo, hi):
         out = search(fn, targets, lo, hi)
-        if np.ndim(targets):
-            searches.append(out[2])
+        if inside:
+            prices[-1].append(out[2])
         return out
 
+    def demand_at(scenario, pi):
+        prices.append([])
+        inside.append(pi)
+        try:
+            return demand(scenario, pi)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(markets, "sup_level_set", recording)
+    monkeypatch.setattr(markets, "aggregate_demand_cb", demand_at)
     clear_cb(scn, c)
-    assert len(searches) <= 16 and max(searches) <= 16
+    assert 0 < len(prices) <= 16
+    assert all(0 < len(evals) and max(evals) <= 16 for evals in prices)

@@ -27,8 +27,7 @@ import pytest
 
 from solarmkt import (GenerationDistribution, PeriodProfile,
                       PremiumDistribution, Scenario, expansion_coefficients,
-                      revenue_rt, solve_ne, solve_social_optimum, verify_ce,
-                      welfare)
+                      revenue_rt, solve_ne, verify_ce, welfare)
 
 C_SRT = 4.0
 C_PRT = np.sqrt(20.8)
@@ -61,7 +60,7 @@ def test_capacities_match_hand_values(hetero):
     assert solve_ne(hetero, "srt").capacity == pytest.approx(C_SRT, rel=1e-9)
     assert solve_ne(hetero, "prt").capacity == pytest.approx(C_PRT, rel=1e-9)
     assert solve_ne(hetero, "cb").capacity == pytest.approx(C_CB, rel=1e-8)
-    assert solve_social_optimum(hetero).capacity == \
+    assert solve_ne(hetero, "opt").capacity == \
         solve_ne(hetero, "prt").capacity
 
 
