@@ -158,12 +158,6 @@ def expansion_coefficients(scenario: Scenario, c0: float) -> ExpansionCoefficien
 # Ordering report across a premium-scale grid
 # ----------------------------------------------------------------------
 
-#: Relative slack when comparing independently solved capacities.
-ORDER_RTOL = 1e-7
-
-#: Tolerance for the scale-zero collapse of all four capacities.
-EPS0_RTOL = 1e-6
-
 #: Slack of the first-order gap check, relative to the prt capacity, for
 #: the search tolerance in the two capacities whose difference it checks.
 GAP_FLOOR = 1e-12
@@ -212,14 +206,16 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     expansion is taken at the ``srt`` capacity.
     ``prt_eq_opt`` holds by construction; the independent check that
     ``prt`` maximizes ``welfare`` is a test in ``tests/test_equilibrium.py``.
+    The orderings compare the certified brackets without slack:
+    ``srt_le_prt`` is srt.lo <= prt.hi, ``prt_le_cb`` is prt.lo <= c_cb,
+    and ``eps0_all_equal`` needs all four capacities in srt's bracket.
     """
     grid = [float(e) for e in epsilon_grid]
     if any(e < 0.0 for e in grid):
         raise ValueError("premium scales must be non-negative")
 
-    # Neither the srt unit revenue nor the capacity scale that brackets its
-    # search reads the premium, so one solve serves every row bit for bit.
-    c_srt = solve_ne(scenario, "srt").capacity
+    # The srt search reads no premium: one solve serves every row, bit for bit.
+    srt = solve_ne(scenario, "srt")
     solved = {eps: solve_all(scenario.with_epsilon(eps), ("prt", "cb", "opt"))
               for eps in grid}
 
@@ -227,7 +223,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     flatness = None
     informational = True
     try:
-        coeffs = expansion_coefficients(scenario, c_srt)
+        coeffs = expansion_coefficients(scenario, srt.capacity)
         flatness = flatness_fit(scenario, coeffs.c0)
         if math.isfinite(flatness.delta):
             delta_bound = (1.0 - coeffs.lam) / (1.0 + 3.0 * coeffs.lam)
@@ -254,13 +250,13 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     for eps in grid:
         res = solved[eps]
         c_prt, c_cb, c_opt = (res[m].capacity for m in ("prt", "cb", "opt"))
-        srt_le_prt = c_srt <= c_prt + ORDER_RTOL * c_prt
+        srt_le_prt = srt.bracket[0] <= res["prt"].bracket[1]
         prt_eq_opt = abs(c_prt - c_opt) <= 1e-12 * c_prt
-        prt_le_cb = c_prt <= c_cb + ORDER_RTOL * c_prt
+        prt_le_cb = res["prt"].bracket[0] <= c_cb
         eps0_equal = None
         if eps == 0.0:
-            caps = (c_srt, c_prt, c_cb, c_opt)
-            eps0_equal = (max(caps) - min(caps)) <= EPS0_RTOL * max(caps)
+            eps0_equal = all(srt.bracket[0] <= c <= srt.bracket[1]
+                             for c in (srt.capacity, c_prt, c_cb, c_opt))
             passed = passed and eps0_equal
         gap_err = None
         gap_ok = None
@@ -269,9 +265,9 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
             gap_ok = gap_err <= gap_k * eps ** 2 * (1.0 + 1e-9) + GAP_FLOOR * c_prt
         passed = passed and srt_le_prt and prt_eq_opt
         rows.append(OrderingRow(
-            epsilon=eps, c_srt=c_srt, c_prt=c_prt, c_cb=c_cb, c_opt=c_opt,
-            srt_le_prt=srt_le_prt, prt_eq_opt=prt_eq_opt, prt_le_cb=prt_le_cb,
-            prt_le_cb_informational=informational,
+            epsilon=eps, c_srt=srt.capacity, c_prt=c_prt, c_cb=c_cb,
+            c_opt=c_opt, srt_le_prt=srt_le_prt, prt_eq_opt=prt_eq_opt,
+            prt_le_cb=prt_le_cb, prt_le_cb_informational=informational,
             eps0_all_equal=eps0_equal, gap_abs_err=gap_err, gap_check=gap_ok))
     return OrderingReport(rows=tuple(rows), coefficients=coeffs,
                           flatness=flatness, gap_k=gap_k, passed=passed)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .markets import (Scenario, _check_mechanism, _linearized,
-                      _scarcity_integral, aggregate_demand_cb, revenue_rt,
-                      unit_revenue_rt)
-from .numerics import sup_level_set
+from .markets import (Scenario, _capacity_search, _check_mechanism,
+                      _rt_window_value, _scarcity_integral,
+                      aggregate_demand_cb, revenue_rt, unit_revenue_rt)
 
 __all__ = [
     "EquilibriumResult",
@@ -41,10 +40,11 @@ class EquilibriumResult:
     ``residual`` is the lifetime zero-profit gap (revenue minus capital
     cost) at the returned capacity; when the mechanism is not viable the
     capacity is zero and the residual reports the per-unit profit gap.
-    ``bracket`` is the searched interval after any growth of its upper
-    end, and ``iterations`` counts the revenue evaluations of the search;
-    the contract-based capacity needs no search, so both ends of its
-    bracket are the capacity.
+    ``bracket`` is the search's final bracket: the per-unit value reaches
+    the cost-recovering price at its lower end and not at its upper end,
+    so the exact level-set top, a revenue jump included, lies between.
+    ``iterations`` counts the search's evaluations.  ``cb`` needs no
+    search (both ends are its capacity); a non-viable result has (0, 0).
     """
 
     mechanism: str
@@ -68,45 +68,42 @@ class AllocationRule:
     max_avg_premium: float
 
 
+def _cost_recovering_price(scenario: Scenario) -> float:
+    """pi*: the window price at which a unit earns pi0 over its lifetime."""
+    return scenario.pi0 * scenario.horizon / scenario.t_tilde
+
+
 def _solve_characteristic(scenario: Scenario,
                           mechanism: str) -> EquilibriumResult:
-    """Largest capacity whose per-unit revenue still covers pi0.
-
-    The per-unit revenue is non-increasing, so the zero-profit capacity
-    is the top of its level set at pi0, searched from a billionth of the
-    capacity scale with the scale itself as the first upper end, in the
-    revenue's ``_linearized`` coordinates.
-    """
-    pi0 = scenario.pi0
-    scale = scenario.capacity_scale
-    lo = 1e-9 * scale
-    r_lo = unit_revenue_rt(scenario, mechanism, lo) - pi0
-    if r_lo < 0.0:
-        # Upfront cost unattractive even for the first unit: no investment.
+    """Largest capacity whose window value, A(c) plus eps R1(c) under
+    ``prt``, still reaches pi*: a ``cb`` buyer's demand search, with the
+    target clamped to the value at 0 as a buyer's is to its choke value
+    (at scale 0 it is the zero-premium buyer's demand, bit for bit).
+    Viability is the lifetime margin at c = 0; the boundary is viable."""
+    top = _rt_window_value(scenario, mechanism, 0.0)
+    margin = scenario.period_scale * top - scenario.pi0
+    if margin < 0.0:
         return EquilibriumResult(mechanism=mechanism, capacity=0.0,
-                                 residual=r_lo, bracket=(0.0, lo),
+                                 residual=margin, bracket=(0.0, 0.0),
                                  iterations=0, viable=False)
-    root, hi, iters = sup_level_set(
-        lambda c: _linearized(unit_revenue_rt(scenario, mechanism, c)),
-        _linearized(pi0), lo, scale)
-    root = float(root)
+    capacity, bracket, iters = _capacity_search(
+        scenario, lambda c: _rt_window_value(scenario, mechanism, c),
+        min(_cost_recovering_price(scenario), top))
     return EquilibriumResult(
-        mechanism=mechanism, capacity=root,
-        residual=zero_profit_residual(scenario, mechanism, root),
-        bracket=(lo, float(hi)), iterations=iters, viable=True)
+        mechanism=mechanism, capacity=capacity,
+        residual=zero_profit_residual(scenario, mechanism, capacity),
+        bracket=bracket, iterations=iters, viable=True)
 
 
 def _solve_cb(scenario: Scenario) -> EquilibriumResult:
     """Capacity demanded at the rental price that just recovers capital cost.
 
-    A unit rented at pi0 * horizon / t_tilde per planning window earns
-    exactly pi0 over the panel lifetime, so the capacity is one
-    evaluation of aggregate rental demand at that price and its
-    zero-profit residual is zero by construction.  No clearing solve is
-    needed; ``clear_cb`` serves verification and the library API.
+    The capacity is one evaluation of aggregate rental demand at pi*
+    (``_cost_recovering_price``), so its zero-profit residual is zero by
+    construction.  No clearing solve is needed; ``clear_cb`` serves
+    verification and the library API.
     """
-    target_price = scenario.pi0 * scenario.horizon / scenario.t_tilde
-    capacity = aggregate_demand_cb(scenario, target_price)
+    capacity = aggregate_demand_cb(scenario, _cost_recovering_price(scenario))
     if capacity <= 0.0:
         return EquilibriumResult(mechanism="cb", capacity=0.0,
                                  residual=-scenario.pi0, bracket=(0.0, 0.0),

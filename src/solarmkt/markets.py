@@ -61,16 +61,13 @@ class Scenario:
 
     ``pi0`` is the capital-plus-installation cost per unit capacity and
     ``t_tilde`` scales one planning window's expected revenue up to the
-    panel lifetime.  ``c_bar`` (the individual panel size) is recorded
-    for completeness; in the non-atomic limit it never enters the
-    equilibrium conditions.
+    panel lifetime.
     """
 
     periods: tuple[PeriodProfile, ...]
     premium: PremiumDistribution
     pi0: float
     t_tilde: float
-    c_bar: float = 1.0
     provenance: Mapping[str, str] = field(default_factory=dict, compare=False,
                                           repr=False)
 
@@ -266,21 +263,26 @@ def _premium_revenue(scenario: Scenario, c: float) -> float:
                               lambda period, q, g: q * g)
 
 
+def _rt_window_value(scenario: Scenario, mechanism: str, c: float) -> float:
+    """A(c) (``_covered_energy``), plus eps R1(c) under ``prt``: a unit's
+    expected revenue per planning window at a float capacity c."""
+    total = _covered_energy(scenario, c)[0]
+    prem = scenario.premium
+    if mechanism == "prt" and prem.epsilon > 0.0:
+        total += prem.epsilon * _premium_revenue(scenario, c)
+    return total
+
+
 def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     """Expected lifetime revenue per unit capacity under a real-time design.
 
     This is the left-hand side of the zero-profit condition; it is
     non-increasing in c because added capacity is only paid for up to
-    the load in each realization.  It is t_tilde / horizon times A(c)
-    (``_covered_energy``) plus, under ``prt``, the premium term eps R1(c).
-    """
+    the load in each realization: t_tilde / horizon times the window
+    value ``_rt_window_value``."""
     _check_mechanism(mechanism, RT_MECHANISMS)
     c = _check_capacity(c)
-    total = float(_covered_energy(scenario, c)[0])
-    prem = scenario.premium
-    if mechanism == "prt" and prem.epsilon > 0.0:
-        total += prem.epsilon * _premium_revenue(scenario, c)
-    return scenario.period_scale * total
+    return scenario.period_scale * _rt_window_value(scenario, mechanism, c)
 
 
 def revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
@@ -310,14 +312,14 @@ def cb_unit_value(scenario: Scenario, v, d):
 def _linearized(y):
     """-1/sqrt(y), the coordinates in which covered-energy values are searched.
 
-    ``E[G; d G <= L]``, and with it ``A + v B`` and the real-time unit
-    revenue, falls as ``d**-2`` once d exceeds the load at the top
-    output, for any output density flat near zero; on that convex tail
-    regula falsi creeps up on a root from one side.  Mapped through this
+    ``E[G; d G <= L]``, and with it ``A + v B`` and the real-time window
+    value, falls as ``d**-2`` once d exceeds the load at the top output,
+    for any output density flat near zero; on that convex tail regula
+    falsi creeps up on a root from one side.  Mapped through this
     strictly increasing transform the tail is linear in d (exactly so
     for uniform output on [0, hi] and sums of such periods), so the
-    search's steps land on the root.  Level sets keep their tops, up to ties within an
-    ulp of the target.  Values at or below 0 map to -inf.
+    search's steps land on the root.  Level sets keep their tops, up to
+    ties within an ulp of the target.  Values at or below 0 map to -inf.
     """
     if isinstance(y, float):
         return -1.0 / math.sqrt(y) if y > 0.0 else -math.inf
@@ -357,20 +359,26 @@ def _cb_demand_profile(scenario: Scenario, vs, pi: float):
 
 def _cb_demand_search(scenario: Scenario, v, target):
     """Largest capacity d with A(d) + v B(d) >= target, for a float or
-    an array of premiums v and targets at most their choke values.
+    an array of premiums v and targets at most their choke values."""
 
-    The level sets are searched in units of the capacity scale, from
-    [0, 1] with growth, so the tolerance is relative to the capacities
-    involved, and in the values' ``_linearized`` coordinates.
-    """
+    def value(d):
+        a, b = _covered_energy(scenario, d)
+        return a + v * b
+
+    return _capacity_search(scenario, value, target)[0]
+
+
+def _capacity_search(scenario: Scenario, value, target):
+    """Largest capacity c with value(c) >= target, for a non-increasing
+    covered-energy value and targets at most value(0), searched in units
+    of the capacity scale from [0, 1] with growth, in ``_linearized``
+    coordinates.  Returns (capacity, (lo, hi), evaluations): value(lo)
+    reaches the target and value(hi) does not."""
     scale = scenario.capacity_scale
-
-    def value(s):
-        a, b = _covered_energy(scenario, s * scale)
-        return _linearized(a + v * b)
-
-    sup, _, _ = sup_level_set(value, _linearized(target), 0.0, 1.0)
-    return sup * scale
+    mid, (lo, hi), evals = sup_level_set(
+        lambda s: _linearized(value(s * scale)), _linearized(target),
+        0.0, 1.0)
+    return mid * scale, (lo * scale, hi * scale), evals
 
 
 def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:

@@ -93,7 +93,7 @@ def sup_level_set(fn, targets, lo: float, hi: float):
     either end, so an iterate that lands exactly on the target, where
     regula falsi returns the lower end, still closes the bracket.
 
-    Returns (root, grown upper end, evaluations of fn).
+    Returns (root, final (lo, hi), fn evaluations): fn(hi) < target <= fn(lo).
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 0:
@@ -123,7 +123,6 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
         lo, g_lo, hi = hi, g_hi, 8.0 * hi
     else:
         raise _unbounded(lo)
-    grown = hi
     k1 = ITP_K1 / (hi - lo)
     rad = 2.0 ** (ITP_N0 - 1) * (hi - lo)
     while True:
@@ -131,7 +130,7 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         tol = X_RTOL * hi
         if not (width > tol and lo < mid < hi):
-            return mid, grown, evals
+            return mid, (lo, hi), evals
         half = 0.5 * width
         reach = min(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))  # midpoint - regula falsi
@@ -169,7 +168,6 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         np.multiply(x_hi, 8.0, out=x_hi, where=above)
     else:
         raise _unbounded(float(np.max(x_lo)))
-    grown = x_hi.copy()
     k1 = ITP_K1 / (x_hi - x_lo)
     rad = 2.0 ** (ITP_N0 - 1) * (x_hi - x_lo)
     while True:
@@ -178,7 +176,7 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         tol = X_RTOL * x_hi
         open_ = (width > tol) & (mid > x_lo) & (mid < x_hi)
         if not np.count_nonzero(open_):
-            return mid, grown, evals
+            return mid, (x_lo, x_hi), evals
         half = 0.5 * width
         reach = np.minimum(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))

@@ -422,5 +422,4 @@ def load_scenario(config_path) -> Scenario:
         return Scenario(periods=tuple(periods), premium=premium,
                         pi0=float(config["pi0_usd_per_kw"]),
                         t_tilde=float(config["t_tilde"]),
-                        c_bar=float(config.get("c_bar_kw", 1.0)),
                         provenance=provenance)

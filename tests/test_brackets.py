@@ -1,0 +1,135 @@
+"""One capacity search for every design, and the brackets it certifies.
+
+The ``srt`` and ``prt`` zero-profit capacities are searched like a
+``cb`` buyer's demand: the same search, from the same start, in the
+same coordinates.  At premium scale 0 every design is therefore the
+zero-premium buyer's demand at the cost-recovering price, bit for bit,
+and the final bracket of each search holds the exact level-set top,
+which the ordering report compares without slack.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from solarmkt import (GenerationDistribution, PeriodProfile, Scenario,
+                      check_viability, ordering_report, solve_all, solve_ne,
+                      unit_revenue_rt)
+from solarmkt import asymptotics
+from solarmkt.equilibrium import _cost_recovering_price
+from solarmkt.markets import (_cb_demand_profile, _linearized,
+                              _rt_window_value)
+from solarmkt.numerics import X_RTOL
+from conftest import (desk_scenario, random_empirical_premium,
+                      random_premium, random_tabulated_generation)
+from test_markets import _lit_point_mass_scenario
+
+
+@st.composite
+def scenarios(draw):
+    """A viable 1-3 period scenario with uniform, tabulated and lit
+    point-mass output, sometimes beside a dark period, and a uniform,
+    truncated-exponential or empirical premium."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periods = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["uniform", "tabulated", "point_mass"]))
+        if kind == "uniform":
+            gen = GenerationDistribution.uniform(0.0, rng.uniform(0.3, 3.0))
+        elif kind == "tabulated":
+            gen = random_tabulated_generation(rng)
+        else:
+            gen = GenerationDistribution.point_mass(rng.uniform(0.1, 2.0))
+        periods.append(PeriodProfile(load=rng.uniform(0.5, 20.0),
+                                     utility_price=rng.uniform(0.2, 2.0),
+                                     generation=gen,
+                                     weight=rng.uniform(0.5, 2.0)))
+    if draw(st.booleans()):
+        periods.append(PeriodProfile(
+            load=rng.uniform(0.5, 20.0), utility_price=rng.uniform(0.2, 2.0),
+            generation=GenerationDistribution.point_mass(0.0),
+            weight=rng.uniform(0.5, 2.0)))
+    epsilon = rng.uniform(0.05, 1.0)
+    if draw(st.booleans()):
+        prem = random_premium(rng, epsilon)
+    else:
+        prem = random_empirical_premium(rng, epsilon)
+    scn = Scenario(periods=tuple(periods), premium=prem, pi0=1.0,
+                   t_tilde=rng.uniform(0.5, 3.0))
+    _, margin = check_viability(scn)
+    return scn.with_pi0(rng.uniform(0.15, 0.85) * (margin + 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_each_search_certifies_its_capacity_and_scale_0_is_one_search(scn):
+    pi_star = _cost_recovering_price(scn)
+    zero = scn.with_epsilon(0.0)
+    # srt is the zero-premium buyer's demand at pi*, and at scale 0 so is
+    # every other design
+    demand = _cb_demand_profile(zero, 0.0, pi_star)
+    assert demand > 0.0
+    assert [r.capacity for r in solve_all(zero).values()] == [demand] * 4
+    for s in (scn, zero):
+        for mechanism in ("srt", "prt"):
+            res = solve_ne(s, mechanism)
+            assert res.viable
+            lo, hi = res.bracket
+            assert lo <= res.capacity <= hi
+            # in the search's coordinates the value reaches its target at
+            # lo and falls short of it at hi
+            value = lambda c: _linearized(_rt_window_value(s, mechanism, c))
+            target = _linearized(min(pi_star, _rt_window_value(s, mechanism,
+                                                               0.0)))
+            assert value(lo) >= target > value(hi)
+
+
+def test_desk_flat_top_boundary_is_one_short_search():
+    # At pi0 = 0.5 the cost-recovering price is the whole flat top of
+    # A(c) = 1/2 on [0, 1]: the level set ends at c = 1 exactly.
+    scn = desk_scenario(epsilon=0.0).with_pi0(0.5)
+    results = solve_all(scn)
+    caps = {r.capacity for r in results.values()}
+    assert len(caps) == 1
+    assert caps.pop() == pytest.approx(1.0, rel=1e-13)
+    srt = results["srt"]
+    assert srt.iterations <= 8  # 47 when searched from 1e-9 of the scale
+    assert srt.bracket[0] <= 1.0 <= srt.bracket[1]
+
+
+def test_a_prt_fault_of_1e_9_fails_the_zero_scale_checks(desk, monkeypatch):
+    clean = ordering_report(desk, [0.0, 0.5, 1.0])
+    assert clean.passed and clean.rows[0].eps0_all_equal
+    solve = asymptotics.solve_all
+
+    def faulty(scenario, mechanisms):
+        results = solve(scenario, mechanisms)
+        if scenario.premium.epsilon == 0.0:
+            f = 1.0 - 1e-9
+            prt = results["prt"]
+            prt = replace(prt, capacity=prt.capacity * f,
+                          bracket=(prt.bracket[0] * f, prt.bracket[1] * f))
+            results["prt"] = prt
+            if "opt" in results:
+                results["opt"] = replace(prt, mechanism="opt")
+        return results
+
+    monkeypatch.setattr(asymptotics, "solve_all", faulty)
+    report = ordering_report(desk, [0.0, 0.5, 1.0])
+    row = report.rows[0]
+    assert not row.srt_le_prt and not row.eps0_all_equal
+    assert not report.passed
+    assert all(r.srt_le_prt for r in report.rows[1:])
+
+
+def test_brackets_straddle_a_revenue_jump():
+    # Output fixed at 0.5 against load 2: unit revenue drops from 0.7575
+    # to 0.0375 at c = 4, far past pi0 = 0.3 on both sides.
+    scn = _lit_point_mass_scenario(pi0=0.3)
+    for mechanism in ("srt", "prt"):
+        lo, hi = solve_ne(scn, mechanism).bracket
+        assert lo <= 4.0 < hi and hi - lo <= X_RTOL * hi
+        assert unit_revenue_rt(scn, mechanism, lo) >= scn.pi0
+        assert unit_revenue_rt(scn, mechanism, hi) < scn.pi0

@@ -301,9 +301,11 @@ def test_report_grid_always_gains_scales_0_and_1(desk_config, desk, tmp_path):
 
 def test_each_command_runs_each_level_set_search_once(desk, desk_config,
                                                       tmp_path, monkeypatch):
+    # the one capacity search of markets, as equilibrium calls it for the
+    # real-time designs (a cb demand calls it from markets itself)
     calls = []
-    search = equilibrium.sup_level_set
-    monkeypatch.setattr(equilibrium, "sup_level_set",
+    search = equilibrium._capacity_search
+    monkeypatch.setattr(equilibrium, "_capacity_search",
                         lambda *a, **k: calls.append(1) or search(*a, **k))
 
     def searches(run):

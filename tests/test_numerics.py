@@ -38,6 +38,21 @@ def bisection(fn, target, lo, hi):
         steps += 1
 
 
+def level_set_top(fn, target, lo, hi):
+    """The last float of {x >= lo: fn(x) >= target} and the float after
+    it, by bisection until no float lies between the ends."""
+    while fn(hi) >= target:
+        lo, hi = hi, 8.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if fn(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def smooth(scale, a, b):
     return lambda x: a / (1.0 + x / scale) - b * (x / scale)
 
@@ -111,10 +126,14 @@ def test_search_matches_bisection_within_its_count(problem):
     roots, _, evals = sup_level_set(fn, np.array(targets), 0.0, hi)
     most = 0
     for t, root in zip(targets, roots):
-        scalar, grown, n = sup_level_set(fn, t, 0.0, hi)
+        scalar, (lo, up), n = sup_level_set(fn, t, 0.0, hi)
         assert scalar == root  # the two paths take the same steps
+        # the final bracket certifies the root: lo is in the level set
+        # (or is the start, never evaluated) and up is not
+        assert lo < up and (lo == 0.0 or fn(lo) >= t) and fn(up) < t
+        top, after = level_set_top(fn, t, 0.0, hi)
+        assert lo <= top and after <= up
         ref, growths, steps = bisection(fn, t, 0.0, hi)
-        assert grown == hi * 8.0 ** growths
         assert abs(scalar - ref) <= 1.01 * X_RTOL * max(scalar, ref)
         assert n <= growths + 1 + steps + ITP_N0
         most = max(most, n)

@@ -16,7 +16,7 @@ from solarmkt import (GenerationDistribution, PeriodProfile,
                       PremiumDistribution, Scenario, aggregate_demand_cb,
                       check_viability, clear_cb, cb_unit_value, solve_ne,
                       unit_revenue_rt)
-from solarmkt import equilibrium, markets
+from solarmkt import markets
 from solarmkt.markets import _cb_demand_profile
 from solarmkt.numerics import X_RTOL
 from conftest import random_tabulated_generation
@@ -46,7 +46,8 @@ def _bisect_sup(value, targets, scale: float) -> np.ndarray:
 
 @contextmanager
 def _recorded_searches():
-    """Wrap the level-set search of markets and equilibrium.
+    """Wrap the level-set search of markets, which every capacity search
+    (the cb demand and the real-time zero-profit solve) goes through.
 
     Yields a list that collects (target ndim, evaluations) per search,
     and asserts that no NaN reaches a search as a target or a value.
@@ -68,9 +69,8 @@ def _recorded_searches():
         return wrapped
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (markets, equilibrium):
-            patch.setattr(module, "sup_level_set",
-                          recording(module.sup_level_set))
+        patch.setattr(markets, "sup_level_set",
+                      recording(markets.sup_level_set))
         yield searches
 
 
