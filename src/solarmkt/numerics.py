@@ -27,6 +27,12 @@ MAX_GROWTHS = 20
 ITP_K1 = 0.2
 ITP_N0 = 1
 
+#: Fraction by which the ITP ball starts short of its exact radius.
+#: Rounding moves each iterate, and bisection's own midpoints, by up to
+#: an ulp; at the stopping width (some 450 ulps) this margin keeps the
+#: bracket within ``ITP_N0`` steps of bisection's in floating point too.
+BALL_SLACK = 2.0 ** -5
+
 #: Fraction of the tolerance ``X_RTOL * hi`` that every step keeps from
 #: either end of the bracket.
 END_GAP = 0.25
@@ -84,8 +90,8 @@ def sup_level_set(fn, targets, lo: float, hi: float):
     Each step is an ITP step (Oliveira & Takahashi, ACM TOMS 47(1),
     2020): regula falsi on the values at the two ends (those of the
     growth included), truncated towards the midpoint and projected
-    into a ball about it.  The ball's radius halves with every step,
-    so after j steps the bracket is no wider than bisection's after
+    into a ball about it.  The ball's radius starts ``BALL_SLACK``
+    short and halves with every step, so after j steps the bracket is no wider than bisection's after
     j - ``ITP_N0``: steps and flat tops cost at most ``ITP_N0`` more
     evaluations than bisection, while a smooth crossing converges
     superlinearly.  Until fn is known at the lower end the step is the
@@ -124,7 +130,7 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
     else:
         raise _unbounded(lo)
     k1 = ITP_K1 / (hi - lo)
-    rad = 2.0 ** (ITP_N0 - 1) * (hi - lo)
+    rad = (1.0 - BALL_SLACK) * 2.0 ** (ITP_N0 - 1) * (hi - lo)
     while True:
         width = hi - lo
         mid = 0.5 * (lo + hi)
@@ -169,7 +175,7 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
     else:
         raise _unbounded(float(np.max(x_lo)))
     k1 = ITP_K1 / (x_hi - x_lo)
-    rad = 2.0 ** (ITP_N0 - 1) * (x_hi - x_lo)
+    rad = (1.0 - BALL_SLACK) * 2.0 ** (ITP_N0 - 1) * (x_hi - x_lo)
     while True:
         width = x_hi - x_lo
         mid = 0.5 * (x_lo + x_hi)
