@@ -8,6 +8,10 @@ rental demand at the cost-recovering price.  The welfare optimum shares
 its first-order condition with the product-differentiated market, so its
 result is the differentiated market's search, relabelled: the equality
 holds exactly rather than to solver tolerance.
+
+A scenario is immutable, so each design is solved at most once per
+scenario instance: ``solve_ne`` keeps its results on the scenario, and
+``opt`` reads ``prt``'s.  Only this module touches that store.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .markets import (Scenario, _capacity_search, _check_mechanism,
                       _rt_window_value, _scarcity_integral,
-                      aggregate_demand_cb, revenue_rt, unit_revenue_rt)
+                      aggregate_demand_cb, revenue_rt)
 
 __all__ = [
     "EquilibriumResult",
@@ -73,22 +77,29 @@ def _cost_recovering_price(scenario: Scenario) -> float:
     return scenario.pi0 * scenario.horizon / scenario.t_tilde
 
 
+def _viability(scenario: Scenario, mechanism: str) -> tuple[bool, float]:
+    """Whether the first unit's window value reaches pi*, and its
+    lifetime margin over pi0.  The flag is the test a ``cb`` buyer
+    applies to its choke value, in the same price units, so at scale 0
+    every design agrees on it bit for bit; the boundary is viable."""
+    top = _rt_window_value(scenario, mechanism, 0.0)
+    return (_cost_recovering_price(scenario) <= top,
+            scenario.period_scale * top - scenario.pi0)
+
+
 def _solve_characteristic(scenario: Scenario,
                           mechanism: str) -> EquilibriumResult:
     """Largest capacity whose window value, A(c) plus eps R1(c) under
-    ``prt``, still reaches pi*: a ``cb`` buyer's demand search, with the
-    target clamped to the value at 0 as a buyer's is to its choke value
-    (at scale 0 it is the zero-premium buyer's demand, bit for bit).
-    Viability is the lifetime margin at c = 0; the boundary is viable."""
-    top = _rt_window_value(scenario, mechanism, 0.0)
-    margin = scenario.period_scale * top - scenario.pi0
-    if margin < 0.0:
+    ``prt``, still reaches pi*: a ``cb`` buyer's demand search (at scale
+    0 it is the zero-premium buyer's demand, bit for bit)."""
+    viable, margin = _viability(scenario, mechanism)
+    if not viable:
         return EquilibriumResult(mechanism=mechanism, capacity=0.0,
                                  residual=margin, bracket=(0.0, 0.0),
                                  iterations=0, viable=False)
     capacity, bracket, iters = _capacity_search(
         scenario, lambda c: _rt_window_value(scenario, mechanism, c),
-        min(_cost_recovering_price(scenario), top))
+        _cost_recovering_price(scenario))
     return EquilibriumResult(
         mechanism=mechanism, capacity=capacity,
         residual=zero_profit_residual(scenario, mechanism, capacity),
@@ -116,35 +127,32 @@ def _solve_cb(scenario: Scenario) -> EquilibriumResult:
 def solve_ne(scenario: Scenario, mechanism: str) -> EquilibriumResult:
     """Nash-equilibrium aggregate capacity under the given market design.
 
-    ``opt`` solves the welfare optimum, which shares the differentiated
-    market's characterizing equation: it is the ``prt`` result relabelled.
+    Each of ``srt``, ``prt`` and ``cb`` is solved at most once per
+    scenario instance; a repeat call returns the stored result.  ``opt``
+    is the welfare optimum, which shares the differentiated market's
+    characterizing equation: it is the ``prt`` result relabelled, so it
+    makes no search of its own.
     """
     _check_mechanism(mechanism, SOLVE_MECHANISMS)
-    if mechanism == "cb":
-        return _solve_cb(scenario)
-    if mechanism == "opt":
-        return replace(_solve_characteristic(scenario, "prt"), mechanism="opt")
-    return _solve_characteristic(scenario, mechanism)
+    design = "prt" if mechanism == "opt" else mechanism
+    solved = scenario._solved
+    if design not in solved:
+        solved[design] = (_solve_cb(scenario) if design == "cb"
+                          else _solve_characteristic(scenario, design))
+    result = solved[design]
+    if design != mechanism:
+        result = replace(result, mechanism=mechanism)
+    return result
 
 
 def solve_all(scenario: Scenario,
               mechanisms=SOLVE_MECHANISMS) -> dict[str, EquilibriumResult]:
-    """Results for the requested mechanisms, in ``SOLVE_MECHANISMS`` order.
-
-    Every name is checked before anything is solved.  When both ``prt``
-    and ``opt`` are requested, one search serves both.
-    """
+    """``solve_ne`` for the requested mechanisms, in ``SOLVE_MECHANISMS``
+    order.  Every name is checked before anything is solved."""
     for m in mechanisms:
         _check_mechanism(m, SOLVE_MECHANISMS)
-    results = {}
-    for m in SOLVE_MECHANISMS:
-        if m not in mechanisms:
-            continue
-        if m == "opt" and "prt" in results:
-            results[m] = replace(results["prt"], mechanism="opt")
-        else:
-            results[m] = solve_ne(scenario, m)
-    return results
+    return {m: solve_ne(scenario, m) for m in SOLVE_MECHANISMS
+            if m in mechanisms}
 
 
 def optimal_allocation(scenario: Scenario, period_index: int, c: float,
@@ -199,11 +207,11 @@ def check_viability(scenario: Scenario) -> tuple[bool, float]:
     """Whether selling all output at the backstop price recovers capital cost.
 
     Returns the flag and the per-unit margin (the ``srt`` unit revenue of
-    the first unit, A(0) lifetime-scaled, minus pi0); the boundary
-    counts as viable.
+    the first unit, A(0) lifetime-scaled, minus pi0).  The flag is
+    ``solve_ne``'s: pi* <= A(0) in price units, so the boundary counts
+    as viable; within rounding of it the margin may have either sign.
     """
-    margin = unit_revenue_rt(scenario, "srt", 0.0) - scenario.pi0
-    return margin >= 0.0, margin
+    return _viability(scenario, "srt")
 
 
 def zero_profit_residual(scenario: Scenario, mechanism: str, c: float) -> float:

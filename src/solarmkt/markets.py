@@ -61,7 +61,10 @@ class Scenario:
 
     ``pi0`` is the capital-plus-installation cost per unit capacity and
     ``t_tilde`` scales one planning window's expected revenue up to the
-    panel lifetime.
+    panel lifetime.  ``_solved`` holds the equilibria ``solve_ne`` has
+    found for this instance; a scenario is immutable, so they never go
+    stale, and a derived scenario (``replace``, ``with_epsilon``,
+    ``with_pi0``) starts with none.
     """
 
     periods: tuple[PeriodProfile, ...]
@@ -70,6 +73,8 @@ class Scenario:
     t_tilde: float
     provenance: Mapping[str, str] = field(default_factory=dict, compare=False,
                                           repr=False)
+    _solved: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(self.periods))
@@ -341,19 +346,17 @@ def _cb_demand_profile(scenario: Scenario, vs, pi: float):
     if isinstance(vs, float):
         if pi == 0.0:
             return math.inf
-        choke = a0 + vs * b0
-        if not pi <= choke * (1.0 + 1e-12):
+        if not pi <= a0 + vs * b0:
             return 0.0
-        return _cb_demand_search(scenario, vs, min(pi, choke))
+        return _cb_demand_search(scenario, vs, pi)
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
     if pi == 0.0:
         return np.full(vs.shape, np.inf)
-    choke = a0 + vs * b0
-    live = pi <= choke * (1.0 + 1e-12)
+    live = pi <= a0 + vs * b0
     out = np.zeros(vs.shape)
     if live.any():
         out[live] = _cb_demand_search(scenario, vs[live],
-                                      np.minimum(pi, choke[live]))
+                                      np.full(np.count_nonzero(live), pi))
     return out
 
 
@@ -447,9 +450,11 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     at the first every buyer rents at least c, above the second every
     buyer rents at most c.  That is the bracket searched.  Where B(c)
     is 0, unit c covers no energy in any period, so no buyer values it
-    and no positive price draws it: NoEquilibriumError.  A demand
-    residual above 1e-7 c raises rather than returning a silently bad
-    price.
+    and no positive price draws it: NoEquilibriumError.  Where demand
+    falls from c to below it inside the final bracket (at a choke
+    price), the price is the bracket's lower end, which still draws c.
+    A demand residual above 1e-7 c raises rather than returning a
+    silently bad price.
     """
     c = _check_capacity(c)
     if c == 0.0:
@@ -460,11 +465,14 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
             f"capacity {c:g} covers no energy in any period; no positive "
             "rental price draws it, so no market-clearing price exists")
     prem = scenario.premium
-    price, _, _ = sup_level_set(
+    price, (lo, _), _ = sup_level_set(
         lambda pi: aggregate_demand_cb(scenario, float(pi)), c,
         a, a + prem.epsilon * prem.v_bar * b)
     price = float(price)
     res = aggregate_demand_cb(scenario, price) - c
+    if abs(res) > 1e-7 * c:
+        price = float(lo)
+        res = aggregate_demand_cb(scenario, price) - c
     if abs(res) > 1e-7 * c:
         raise ConvergenceError(
             f"contract-based clearing left demand residual {res:g} at price {price:g}")
@@ -603,7 +611,10 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
     argmax_gap = float(np.abs(q_dev[rental.argmax(axis=1)] - assigned).max())
     # sellers: payoff price * q on [0, c], maximized at q = c
     seller_gain = max(0.0, price * c - price * clearing.seller_quantity) / bill
-    clear_violation = abs(aggregate_demand_cb(scenario, price) - c) / c
+    # clear_cb already measured the demand at its own price
+    residual = (clearing.demand_residual if price_perturbation == 0.0
+                else aggregate_demand_cb(scenario, price) - c)
+    clear_violation = abs(residual) / c
     details = {"cb_price": clearing.price,
                "cb_argmax_gap": argmax_gap,
                "cb_grid_step": float(q_dev[1] - q_dev[0])}

@@ -97,9 +97,15 @@ def sup_level_set(fn, targets, lo: float, hi: float):
     superlinearly.  Until fn is known at the lower end the step is the
     midpoint.  Every step keeps ``END_GAP`` times the tolerance from
     either end, so an iterate that lands exactly on the target, where
-    regula falsi returns the lower end, still closes the bracket.
+    regula falsi returns the lower end, still closes the bracket.  A
+    point bracket (lo == hi) whose value at hi falls short of the
+    target, which only rounding in fn can cause, is closed at once: its
+    root is lo.
 
     Returns (root, final (lo, hi), fn evaluations): fn(hi) < target <= fn(lo).
+    The root is the midpoint of the final bracket, or lo where fn(hi) is
+    -inf: an infinite fall has no crossing to interpolate, and the
+    midpoint may lie past it.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 0:
@@ -129,14 +135,14 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
         lo, g_lo, hi = hi, g_hi, 8.0 * hi
     else:
         raise _unbounded(lo)
-    k1 = ITP_K1 / (hi - lo)
+    k1 = ITP_K1 / (hi - lo) if hi > lo else 0.0
     rad = (1.0 - BALL_SLACK) * 2.0 ** (ITP_N0 - 1) * (hi - lo)
     while True:
         width = hi - lo
         mid = 0.5 * (lo + hi)
         tol = X_RTOL * hi
         if not (width > tol and lo < mid < hi):
-            return mid, (lo, hi), evals
+            return (lo if g_hi == -math.inf else mid), (lo, hi), evals
         half = 0.5 * width
         reach = min(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))  # midpoint - regula falsi
@@ -174,7 +180,8 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         np.multiply(x_hi, 8.0, out=x_hi, where=above)
     else:
         raise _unbounded(float(np.max(x_lo)))
-    k1 = ITP_K1 / (x_hi - x_lo)
+    k1 = np.divide(ITP_K1, x_hi - x_lo, out=np.zeros_like(x_hi),
+                   where=x_hi > x_lo)
     rad = (1.0 - BALL_SLACK) * 2.0 ** (ITP_N0 - 1) * (x_hi - x_lo)
     while True:
         width = x_hi - x_lo
@@ -182,7 +189,7 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         tol = X_RTOL * x_hi
         open_ = (width > tol) & (mid > x_lo) & (mid < x_hi)
         if not np.count_nonzero(open_):
-            return mid, (x_lo, x_hi), evals
+            return np.where(g_hi == -np.inf, x_lo, mid), (x_lo, x_hi), evals
         half = 0.5 * width
         reach = np.minimum(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solarmkt import (GenerationDistribution, PeriodProfile, Scenario,
-                      check_viability, ordering_report, solve_all, solve_ne,
-                      unit_revenue_rt)
+                      cb_unit_value, check_viability, clear_cb,
+                      ordering_report, solve_all, solve_ne, unit_revenue_rt,
+                      verify_ce)
 from solarmkt import asymptotics
 from solarmkt.equilibrium import _cost_recovering_price
 from solarmkt.markets import (_cb_demand_profile, _linearized,
@@ -133,3 +134,75 @@ def test_brackets_straddle_a_revenue_jump():
         assert lo <= 4.0 < hi and hi - lo <= X_RTOL * hi
         assert unit_revenue_rt(scn, mechanism, lo) >= scn.pi0
         assert unit_revenue_rt(scn, mechanism, hi) < scn.pi0
+
+
+# ------------------------------------------------- the scale-0 viability edge
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.one_of(st.sampled_from((1.0 - 1e-13, 1.0, 1.0 + 1e-13)),
+                              st.floats(0.1, 0.9)))
+def test_scale_0_designs_agree_at_and_around_the_viability_edge(scn, share):
+    # pi0 at the break-even capital cost (pi0 plus the viability margin)
+    # times share: just inside, on, and just past the edge, and inside
+    zero = scn.with_epsilon(0.0)
+    _, margin = check_viability(zero)
+    scn = zero.with_pi0(share * (zero.pi0 + margin))
+    results = solve_all(scn)
+    assert len({(r.capacity.hex(), r.viable) for r in results.values()}) == 1
+    assert results["srt"].viable is check_viability(scn)[0]
+    assert ordering_report(scn, [0.0]).passed
+    c = results["cb"].capacity
+    if c > 0.0:
+        assert verify_ce(scn, "cb", c, 1).passed
+
+
+def test_desk_just_past_the_edge_invests_nothing_in_any_design():
+    # the contract buyers used to rent up to pi0 (1 + 1e-12) above their
+    # choke value, so cb still invested 1 where the others invested 0
+    scn = desk_scenario(epsilon=0.0).with_pi0(0.5 * (1.0 + 1e-13))
+    results = solve_all(scn)
+    assert all(r.capacity == 0.0 and not r.viable for r in results.values())
+    assert ordering_report(scn, [0.0]).passed
+
+
+def test_desk_edge_cb_clearing_verifies():
+    # at pi0 = 0.5 the clearing price used to crawl the choke slack for
+    # about 50 demand evaluations and then raise on a residual of -1
+    scn = desk_scenario(epsilon=0.0).with_pi0(0.5)
+    c = solve_ne(scn, "cb").capacity
+    report = verify_ce(scn, "cb", c, 1)
+    assert report.passed
+    assert report.details["cb_price"] <= 0.5
+
+
+def test_clearing_at_a_choke_price_keeps_the_certified_end():
+    # On the flat top of tabulated output the clearing price is the
+    # choke price itself, where demand falls from c to 0: the midpoint of
+    # the final price bracket can lie past it, its lower end cannot.
+    gen = random_tabulated_generation(np.random.default_rng(0))
+    scn = Scenario(periods=(PeriodProfile(load=1.0, utility_price=1.0,
+                                          generation=gen),),
+                   premium=desk_scenario(epsilon=0.0).premium, pi0=1.0,
+                   t_tilde=1.0)
+    _, margin = check_viability(scn)
+    scn = scn.with_pi0(scn.pi0 + margin)
+    c = solve_ne(scn, "cb").capacity
+    clearing = clear_cb(scn, c)
+    assert abs(clearing.demand_residual) <= 1e-12 * c
+    assert clearing.price <= float(cb_unit_value(scn, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("pi0", [0.05, 0.25, 0.5])
+def test_a_lone_point_mass_invests_up_to_its_cut(pi0):
+    # output fixed at 0.5 against load 2: past c = 4 a unit covers
+    # nothing, so no design may return a capacity past the cut
+    period = PeriodProfile(load=2.0, utility_price=1.0,
+                           generation=GenerationDistribution.point_mass(0.5))
+    scn = Scenario(periods=(period,),
+                   premium=desk_scenario(epsilon=0.0).premium, pi0=pi0,
+                   t_tilde=1.0)
+    for mechanism, result in solve_all(scn).items():
+        assert result.capacity == 4.0, mechanism
+        if mechanism != "cb":
+            assert result.residual >= 0.0
+    assert verify_ce(scn, "cb", 4.0, 1).passed

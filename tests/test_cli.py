@@ -227,6 +227,22 @@ def test_verify_cb_at_solved_price(desk_config, tmp_path):
     assert payload["details"]["cb_argmax_gap"] <= payload["details"]["cb_grid_step"]
 
 
+def test_verify_cb_at_the_viability_boundary(tmp_path):
+    # eps=0, pi0=0.5: cb invests the whole flat top and clears at the
+    # buyers' common choke value; this exited 1 on a demand residual of -1
+    config = _config_with(tmp_path, "boundary.json", epsilon=0.0,
+                          pi0_usd_per_kw=0.5)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(config), "--mechanism", "cb",
+                 "--samples", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    assert payload["details"]["cb_price"] <= 0.5
+    assert main(["verify", "--config", str(config), "--mechanism", "cb",
+                 "--samples", "1", "--perturb-price", "0.01",
+                 "--out", str(out)]) == 1
+
+
 def test_verify_without_a_positive_capacity_fails(tmp_path, capsys):
     # at pi0 = 0.6 selling at the backstop price never recovers the cost
     config = _config_with(tmp_path, "dear.json", pi0_usd_per_kw=0.6)

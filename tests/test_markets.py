@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from solarmkt import (GenerationDistribution, NoEquilibriumError,
                       PeriodProfile, PremiumDistribution, Scenario,
                       aggregate_demand_cb, buyer_payoff_cb, cb_unit_value,
-                      clear_cb, clear_rt, individual_demand_cb, revenue_rt,
-                      solve_ne, unit_revenue_rt, verify_ce)
+                      clear_cb, clear_rt, individual_demand_cb, markets,
+                      revenue_rt, solve_ne, unit_revenue_rt, verify_ce)
 from conftest import (desk_scenario, random_scenario,
                       random_tabulated_generation)
 
@@ -325,6 +325,27 @@ def test_verify_detects_perturbed_price(desk, mechanism, capacity):
     report = verify_ce(desk, mechanism, capacity, 300, 201, seed=3,
                        price_perturbation=0.01)
     assert not report.passed
+
+
+@pytest.mark.parametrize("perturbation,extra", [(0.0, 0), (0.01, 1)])
+def test_verify_cb_reads_the_clearing_residual(desk, monkeypatch,
+                                               perturbation, extra):
+    # the clearing violation at the clearing price is clear_cb's own
+    # residual; only a perturbed price needs a demand evaluation of its own
+    c = aggregate_demand_cb(desk, 0.125)
+    calls = []
+    demand = markets.aggregate_demand_cb
+    monkeypatch.setattr(markets, "aggregate_demand_cb",
+                        lambda scn, pi: calls.append(pi) or demand(scn, pi))
+    clearing = clear_cb(desk, c)
+    cleared = len(calls)
+    report = verify_ce(desk, "cb", c, 1, price_perturbation=perturbation)
+    assert len(calls) == 2 * cleared + extra
+    if not perturbation:
+        assert report.max_clearing_violation == \
+            abs(clearing.demand_residual) / c
+    else:
+        assert not report.passed
 
 
 def test_verify_input_validation(desk):

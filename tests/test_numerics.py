@@ -151,6 +151,32 @@ def test_unbounded_level_set_raises(target, hi):
         sup_level_set(fn, np.array([target + 1.0, target]), 0.0, hi)
 
 
+def test_a_point_bracket_that_falls_short_is_closed():
+    # fn(lo) >= target is the caller's promise; rounding in fn can break
+    # it at lo == hi, and the search then returns lo instead of dividing
+    # by the bracket's zero width
+    fn = lambda x: 2.0 - x
+    assert sup_level_set(fn, 1.5, 1.0, 1.0) == (1.0, (1.0, 1.0), 1)
+    root, (lo, hi), _ = sup_level_set(fn, np.array([1.5, 0.5]), 1.0, 1.0)
+    assert root[0] == lo[0] == hi[0] == 1.0
+    assert root[1] == pytest.approx(1.5, rel=X_RTOL)
+
+
+def test_an_infinite_fall_returns_the_lower_end():
+    # a step down to -inf (a unit past its last cut covers nothing) has
+    # no crossing to interpolate: the midpoint may lie past the step, the
+    # lower end is in the level set
+    for step in (0.3, 1.0 / 3.0, 2.0 ** -40):
+        fn = lambda x: np.where(x <= step, 1.0, -np.inf)
+        root, (lo, hi), _ = sup_level_set(lambda x: float(fn(x)), 0.5,
+                                          0.0, 1.0)
+        assert root == lo <= step < hi
+        roots, (los, _), _ = sup_level_set(fn, np.array([0.5, 0.75]),
+                                           0.0, 1.0)
+        np.testing.assert_array_equal(roots, [root, root])
+        np.testing.assert_array_equal(los, [lo, lo])
+
+
 def test_desk_searches_take_a_fraction_of_the_bisection_steps(monkeypatch):
     """Bisection took 48 steps for each of these; a smooth crossing needs far fewer."""
     desk = desk_scenario()
