@@ -72,18 +72,13 @@ class AllocationRule:
     max_avg_premium: float
 
 
-def _cost_recovering_price(scenario: Scenario) -> float:
-    """pi*: the window price at which a unit earns pi0 over its lifetime."""
-    return scenario.pi0 * scenario.horizon / scenario.t_tilde
-
-
 def _viability(scenario: Scenario, mechanism: str) -> tuple[bool, float]:
     """Whether the first unit's window value reaches pi*, and its
     lifetime margin over pi0.  The flag is the test a ``cb`` buyer
     applies to its choke value, in the same price units, so at scale 0
     every design agrees on it bit for bit; the boundary is viable."""
     top = _rt_window_value(scenario, mechanism, 0.0)
-    return (_cost_recovering_price(scenario) <= top,
+    return (scenario.cost_recovering_price <= top,
             scenario.period_scale * top - scenario.pi0)
 
 
@@ -99,7 +94,7 @@ def _solve_characteristic(scenario: Scenario,
                                  iterations=0, viable=False)
     capacity, bracket, iters = _capacity_search(
         scenario, lambda c: _rt_window_value(scenario, mechanism, c),
-        _cost_recovering_price(scenario))
+        scenario.cost_recovering_price)
     return EquilibriumResult(
         mechanism=mechanism, capacity=capacity,
         residual=zero_profit_residual(scenario, mechanism, capacity),
@@ -110,11 +105,12 @@ def _solve_cb(scenario: Scenario) -> EquilibriumResult:
     """Capacity demanded at the rental price that just recovers capital cost.
 
     The capacity is one evaluation of aggregate rental demand at pi*
-    (``_cost_recovering_price``), so its zero-profit residual is zero by
-    construction.  No clearing solve is needed; ``clear_cb`` serves
-    verification and the library API.
+    (``Scenario.cost_recovering_price``), so its zero-profit residual is
+    zero by construction.  No clearing solve is needed; ``clear_cb``
+    serves verification and the library API, and at this capacity it
+    certifies pi* as the clearing price.
     """
-    capacity = aggregate_demand_cb(scenario, _cost_recovering_price(scenario))
+    capacity = aggregate_demand_cb(scenario, scenario.cost_recovering_price)
     if capacity <= 0.0:
         return EquilibriumResult(mechanism="cb", capacity=0.0,
                                  residual=-scenario.pi0, bracket=(0.0, 0.0),

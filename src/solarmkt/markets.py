@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .distributions import PeriodProfile, PremiumDistribution
-from .numerics import (ConvergenceError, NoEquilibriumError,
+from .numerics import (X_RTOL, ConvergenceError, NoEquilibriumError,
                        gauss_legendre_panels, sup_level_set)
 
 __all__ = [
@@ -95,6 +96,21 @@ class Scenario:
     def period_scale(self) -> float:
         """Lifetime-per-period scaling: t_tilde / total weight."""
         return self.t_tilde / self.horizon
+
+    @property
+    def cost_recovering_price(self) -> float:
+        """pi*: the window price at which a unit earns pi0 over its
+        lifetime, pi0 horizon / t_tilde."""
+        return self.pi0 * self.horizon / self.t_tilde
+
+    @cached_property
+    def _output_cuts(self) -> np.ndarray:
+        """The capacities L/g of every period's positive output knots, in
+        increasing order: where a unit's covered energy kinks or, past an
+        atom, jumps.  Computed once per scenario object."""
+        return np.sort(np.concatenate([
+            p.load / p.generation.knots[p.generation.knots > 0.0]
+            for p in self.periods]))
 
     @property
     def capacity_scale(self) -> float:
@@ -376,12 +392,35 @@ def _capacity_search(scenario: Scenario, value, target):
     covered-energy value and targets at most value(0), searched in units
     of the capacity scale from [0, 1] with growth, in ``_linearized``
     coordinates.  Returns (capacity, (lo, hi), evaluations): value(lo)
-    reaches the target and value(hi) does not."""
+    reaches the target and value(hi) does not.
+
+    The capacity is the final bracket's midpoint, unless the bracket
+    holds an output cut (``Scenario._output_cuts``) where the value
+    still reaches the target: the value may jump down there, and the
+    midpoint lie past the jump, while the cut is in the level set.  The
+    largest cut in ``[lo, hi)`` is tried, at the cost of one more
+    evaluation unless it is lo itself.
+    """
     scale = scenario.capacity_scale
-    mid, (lo, hi), evals = sup_level_set(
-        lambda s: _linearized(value(s * scale)), _linearized(target),
-        0.0, 1.0)
-    return mid * scale, (lo * scale, hi * scale), evals
+    level = _linearized(target)
+    mid, (lo, hi), evals, _ = sup_level_set(
+        lambda s: _linearized(value(s * scale)), level, 0.0, 1.0)
+    capacity, lo, hi = mid * scale, lo * scale, hi * scale
+    cuts = scenario._output_cuts
+    i = cuts.searchsorted(hi) - 1  # the largest cut below hi
+    if isinstance(level, float):
+        if i >= 0 and cuts[i] >= lo:
+            cut = float(cuts[i])
+            if cut == lo or _linearized(value(cut)) >= level:
+                capacity = cut
+        return capacity, (lo, hi), evals
+    cut = cuts.take(i, mode="clip") if cuts.size else lo
+    inside = (i >= 0) & (cut >= lo)
+    if inside.any():
+        reach = (cut == lo) | (_linearized(value(np.where(inside, cut, lo)))
+                               >= level)
+        capacity = np.where(inside & reach, cut, capacity)
+    return capacity, (lo, hi), evals
 
 
 def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:
@@ -427,11 +466,10 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
     t1, t2 = float(breaks[0]), float(breaks[-1])
     if t2 <= t1:
         return t1
-    with np.errstate(divide="ignore"):  # a knot at 0 maps to no capacity
-        knots = np.concatenate([p.load / p.generation.knots
-                                for p in scenario.periods])
+    cuts = scenario._output_cuts
     edges = np.unique(np.concatenate((
-        np.clip(breaks, t1, t2), knots[(knots > t1) & (knots < t2)],
+        np.clip(breaks, t1, t2),
+        cuts[cuts.searchsorted(t1, "right"):cuts.searchsorted(t2)],
         np.linspace(t1, t2, CB_MIN_PANELS + 1))))
     t, w = gauss_legendre_panels(edges, CB_PANEL_ORDER)
     a, b = _covered_energy(scenario, t)
@@ -448,13 +486,27 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     between the values of unit c to the zero-premium buyer, A(c), and
     to the top buyer, A(c) + epsilon v_bar B(c) (``_covered_energy``):
     at the first every buyer rents at least c, above the second every
-    buyer rents at most c.  That is the bracket searched.  Where B(c)
-    is 0, unit c covers no energy in any period, so no buyer values it
-    and no positive price draws it: NoEquilibriumError.  Where demand
-    falls from c to below it inside the final bracket (at a choke
-    price), the price is the bracket's lower end, which still draws c.
-    A demand residual above 1e-7 c raises rather than returning a
-    silently bad price.
+    buyer rents at most c.  Where B(c) is 0, unit c covers no energy in
+    any period, so no buyer values it and no positive price draws it:
+    NoEquilibriumError.
+
+    Demand is first tried, inside that bracket, at the cost-recovering
+    price pi* (``Scenario.cost_recovering_price``) and, if it still
+    draws c there, at pi* (1 + X_RTOL / 2).  At the long-run capacity,
+    the demand at pi*, the first reaches c and the second falls short:
+    that bracket already meets the search's tolerance, so the price is
+    pi* after two demand evaluations and no search step.  Elsewhere the
+    tries narrow the bracket, and the search starts from their demands.
+    The price is the end of the final bracket where demand is nearer c,
+    with the search's own residual there (demand minus c; one more
+    evaluation where the lower end was never tried).  That is the lower
+    end, whose demand reaches c, unless demand jumps past c inside the
+    bracket: at a choke price it falls from c to below it, and the lower
+    end still clears; where c is an atom's cut that rounding leaves out
+    of A(c), demand at A(c) overshoots c by a whole flat stretch, and
+    the upper end clears.  A midpoint could miss c by all of the jump.
+    A residual above 1e-7 c raises rather than returning a silently bad
+    price.
     """
     c = _check_capacity(c)
     if c == 0.0:
@@ -465,14 +517,23 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
             f"capacity {c:g} covers no energy in any period; no positive "
             "rental price draws it, so no market-clearing price exists")
     prem = scenario.premium
-    price, (lo, _), _ = sup_level_set(
-        lambda pi: aggregate_demand_cb(scenario, float(pi)), c,
-        a, a + prem.epsilon * prem.v_bar * b)
-    price = float(price)
-    res = aggregate_demand_cb(scenario, price) - c
-    if abs(res) > 1e-7 * c:
-        price = float(lo)
-        res = aggregate_demand_cb(scenario, price) - c
+    lo, hi = a, a + prem.epsilon * prem.v_bar * b
+    res_lo = res_hi = None
+    pi_star = scenario.cost_recovering_price
+    for pi in (pi_star, pi_star * (1.0 + 0.5 * X_RTOL)):
+        if not lo < pi < hi:
+            continue
+        res = aggregate_demand_cb(scenario, pi) - c
+        if res < 0.0:
+            hi, res_hi = pi, res
+            break
+        lo, res_lo = pi, res
+    _, (lo, hi), _, (res_lo, res_hi) = sup_level_set(
+        lambda pi: aggregate_demand_cb(scenario, pi), c, lo, hi,
+        g_lo=res_lo, g_hi=res_hi)
+    if math.isnan(res_lo):
+        res_lo = aggregate_demand_cb(scenario, lo) - c
+    price, res = (lo, res_lo) if res_lo <= -res_hi else (hi, res_hi)
     if abs(res) > 1e-7 * c:
         raise ConvergenceError(
             f"contract-based clearing left demand residual {res:g} at price {price:g}")

@@ -74,43 +74,52 @@ def gauss_legendre_panels(edges, order: int):
     return xs, ws
 
 
-def sup_level_set(fn, targets, lo: float, hi: float):
+def sup_level_set(fn, targets, lo: float, hi: float, *, g_lo=None,
+                  g_hi=None):
     """Largest x >= lo with fn(x) >= target, for a non-increasing fn.
 
     ``targets`` may be a scalar or an array; ``fn`` is called with an
     array of its shape, or with a float for a scalar target.  The search
     reuses the arrays it hands fn, so fn must not keep them.  Callers
-    guarantee fn(lo) >= target, so fn is never evaluated at lo.  Where
-    fn(hi) >= target the upper end grows eightfold, at most
-    ``MAX_GROWTHS`` times, and then raises ConvergenceError rather than
-    truncating.  The search stops once hi - lo <= X_RTOL * hi for every
-    element, or when no float lies between the ends, so the tolerance
-    is relative to each root and free of units.
+    guarantee fn(lo) >= target, so fn is never evaluated at lo.  A
+    caller that already holds fn - target at either end hands it in as
+    ``g_lo`` or ``g_hi``, and the search starts from it instead of
+    evaluating or guessing.  Where fn(hi) >= target the upper end grows
+    eightfold, at most ``MAX_GROWTHS`` times, and then raises
+    ConvergenceError rather than truncating.  The search stops once
+    hi - lo <= X_RTOL * hi for every element, or when no float lies
+    between the ends, so the tolerance is relative to each root and free
+    of units; a bracket handed in that narrow, with its value at hi,
+    costs no evaluation at all.
 
     Each step is an ITP step (Oliveira & Takahashi, ACM TOMS 47(1),
     2020): regula falsi on the values at the two ends (those of the
-    growth included), truncated towards the midpoint and projected
-    into a ball about it.  The ball's radius starts ``BALL_SLACK``
-    short and halves with every step, so after j steps the bracket is no wider than bisection's after
-    j - ``ITP_N0``: steps and flat tops cost at most ``ITP_N0`` more
-    evaluations than bisection, while a smooth crossing converges
-    superlinearly.  Until fn is known at the lower end the step is the
-    midpoint.  Every step keeps ``END_GAP`` times the tolerance from
-    either end, so an iterate that lands exactly on the target, where
-    regula falsi returns the lower end, still closes the bracket.  A
-    point bracket (lo == hi) whose value at hi falls short of the
-    target, which only rounding in fn can cause, is closed at once: its
-    root is lo.
+    growth and those handed in included), truncated towards the midpoint
+    and projected into a ball about it.  The ball's radius starts
+    ``BALL_SLACK`` short and halves with every step, so after j steps
+    the bracket is no wider than bisection's after j - ``ITP_N0``: steps
+    and flat tops cost at most ``ITP_N0`` more evaluations than
+    bisection, while a smooth crossing converges superlinearly.  Until
+    fn is known at the lower end the step is the midpoint.  Every step
+    keeps ``END_GAP`` times the tolerance from either end, so an iterate
+    that lands exactly on the target, where regula falsi returns the
+    lower end, still closes the bracket.  A point bracket (lo == hi)
+    whose value at hi falls short of the target, which only rounding in
+    fn can cause, is closed at once: its root is lo.
 
-    Returns (root, final (lo, hi), fn evaluations): fn(hi) < target <= fn(lo).
-    The root is the midpoint of the final bracket, or lo where fn(hi) is
-    -inf: an infinite fall has no crossing to interpolate, and the
-    midpoint may lie past it.
+    Returns (root, final (lo, hi), fn evaluations, fn - target at the
+    final (lo, hi)): fn(hi) < target <= fn(lo), with NaN at lo where lo
+    is the untried start.  The root is the midpoint of the final
+    bracket, or lo where fn(hi) is -inf: an infinite fall has no
+    crossing to interpolate, and the midpoint may lie past it.
     """
     targets = np.asarray(targets, dtype=float)
+    g_lo = math.nan if g_lo is None else g_lo
     if targets.ndim == 0:
-        return _sup_level_set_scalar(fn, float(targets), float(lo), float(hi))
-    return _sup_level_set_array(fn, targets, float(lo), float(hi))
+        return _sup_level_set_scalar(fn, float(targets), float(lo), float(hi),
+                                     float(g_lo),
+                                     None if g_hi is None else float(g_hi))
+    return _sup_level_set_array(fn, targets, float(lo), float(hi), g_lo, g_hi)
 
 
 def _unbounded(lo) -> ConvergenceError:
@@ -119,20 +128,22 @@ def _unbounded(lo) -> ConvergenceError:
         "eightfold growths of the search bracket")
 
 
-def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
+def _sup_level_set_scalar(fn, target: float, lo: float, hi: float,
+                          g_lo: float, g_hi: float | None):
     """``sup_level_set`` for one target, in plain floats.
 
     The arithmetic is the array path's, operation for operation, so the
-    two give the same iterates.
+    two give the same iterates.  ``g_lo`` is NaN until fn is known at
+    lo, and ``g_hi`` None until it is known at hi.
     """
     evals = 0
-    g_lo = math.nan  # fn(lo) - target, unknown until lo moves
     for _ in range(MAX_GROWTHS + 1):
-        g_hi = float(fn(hi)) - target
-        evals += 1
+        if g_hi is None:
+            g_hi = float(fn(hi)) - target
+            evals += 1
         if not g_hi >= 0.0:
             break
-        lo, g_lo, hi = hi, g_hi, 8.0 * hi
+        lo, g_lo, hi, g_hi = hi, g_hi, 8.0 * hi, None
     else:
         raise _unbounded(lo)
     k1 = ITP_K1 / (hi - lo) if hi > lo else 0.0
@@ -142,7 +153,8 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         tol = X_RTOL * hi
         if not (width > tol and lo < mid < hi):
-            return (lo if g_hi == -math.inf else mid), (lo, hi), evals
+            return ((lo if g_hi == -math.inf else mid), (lo, hi), evals,
+                    (g_lo, g_hi))
         half = 0.5 * width
         reach = min(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))  # midpoint - regula falsi
@@ -157,7 +169,7 @@ def _sup_level_set_scalar(fn, target: float, lo: float, hi: float):
         rad *= 0.5
 
 
-def _sup_level_set_array(fn, targets, lo: float, hi: float):
+def _sup_level_set_array(fn, targets, lo: float, hi: float, g_lo, g_hi):
     """``sup_level_set`` for an array of targets, element by element.
 
     Each end, and the new iterate, is a pair of rows: its position and
@@ -167,12 +179,17 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
     low = np.empty((2,) + targets.shape)
     high = np.empty_like(low)
     new = np.empty_like(low)
-    low[0], low[1], high[0] = lo, np.nan, hi
+    low[0], low[1], high[0] = lo, g_lo, hi
+    known = g_hi is not None
+    if known:
+        high[1] = g_hi
     (x_lo, g_lo), (x_hi, g_hi), (x, g) = low, high, new
     evals = 0
     for _ in range(MAX_GROWTHS + 1):
-        np.subtract(fn(x_hi), targets, out=g_hi)
-        evals += 1
+        if not known:
+            np.subtract(fn(x_hi), targets, out=g_hi)
+            evals += 1
+        known = False
         above = g_hi >= 0.0
         if not np.count_nonzero(above):
             break
@@ -189,7 +206,8 @@ def _sup_level_set_array(fn, targets, lo: float, hi: float):
         tol = X_RTOL * x_hi
         open_ = (width > tol) & (mid > x_lo) & (mid < x_hi)
         if not np.count_nonzero(open_):
-            return np.where(g_hi == -np.inf, x_lo, mid), (x_lo, x_hi), evals
+            return (np.where(g_hi == -np.inf, x_lo, mid), (x_lo, x_hi), evals,
+                    (g_lo, g_hi))
         half = 0.5 * width
         reach = np.minimum(rad - half, half - END_GAP * tol)
         d = width * (0.5 - g_lo / (g_lo - g_hi))

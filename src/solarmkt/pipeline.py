@@ -264,7 +264,7 @@ def fit_truncated_exponential(samples) -> PremiumDistribution:
         return PremiumDistribution.truncated_exponential(
             float(x) / v_bar, v_bar).base_mean
 
-    x, _, _ = sup_level_set(model_mean, mean, 0.0, v_bar / mean)
+    x, *_ = sup_level_set(model_mean, mean, 0.0, v_bar / mean)
     rate = float(x) / v_bar
     fitted = PremiumDistribution.truncated_exponential(rate=rate, v_bar=v_bar)
     logger.info("truncated-exponential fit: rate=%.6g, v_bar=%.6g, mean=%.6g",
@@ -332,11 +332,11 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
                     f"{key}: {path} yields fewer than 2 daytime samples")
             samples = day * conversion
             bandwidth = spec.get("bandwidth")
+            if bandwidth is None:  # the fit's default, computed once
+                bandwidth = _silverman_bandwidth(samples)
             grid_size = spec.get("grid_size", DEFAULT_KDE_GRID_SIZE)
             fitted = fit_generation_kde(samples, bandwidth=bandwidth,
                                         grid_size=grid_size)
-            if bandwidth is None:  # the fit used Silverman's rule
-                bandwidth = _silverman_bandwidth(samples)
             provenance[key] = (
                 f"kde(path={path}, efficiency={efficiency}, "
                 f"night_threshold={threshold}, conversion={conversion}, "

@@ -18,13 +18,13 @@ from solarmkt import (GenerationDistribution, PeriodProfile, Scenario,
                       cb_unit_value, check_viability, clear_cb,
                       ordering_report, solve_all, solve_ne, unit_revenue_rt,
                       verify_ce)
-from solarmkt import asymptotics
-from solarmkt.equilibrium import _cost_recovering_price
-from solarmkt.markets import (_cb_demand_profile, _linearized,
-                              _rt_window_value)
+from solarmkt import asymptotics, markets
+from solarmkt.markets import (_cb_demand_profile, _covered_energy,
+                              _linearized, _rt_window_value)
 from solarmkt.numerics import X_RTOL
 from conftest import (desk_scenario, random_empirical_premium,
                       random_premium, random_tabulated_generation)
+from test_fast_kernels import _demand_bound
 from test_markets import _lit_point_mass_scenario
 
 
@@ -66,7 +66,7 @@ def scenarios(draw):
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_each_search_certifies_its_capacity_and_scale_0_is_one_search(scn):
-    pi_star = _cost_recovering_price(scn)
+    pi_star = scn.cost_recovering_price
     zero = scn.with_epsilon(0.0)
     # srt is the zero-premium buyer's demand at pi*, and at scale 0 so is
     # every other design
@@ -206,3 +206,63 @@ def test_a_lone_point_mass_invests_up_to_its_cut(pi0):
         if mechanism != "cb":
             assert result.residual >= 0.0
     assert verify_ce(scn, "cb", 4.0, 1).passed
+
+
+def test_a_revenue_jump_returns_its_cut():
+    # Beside a uniform period, output fixed at 0.5 against load 2 drops
+    # the unit revenue from 0.7575 to 0.0375 at c = 4, across pi0 = 0.3:
+    # the level set ends at the cut, which every design returns, with the
+    # zero-profit gap of the capacity itself (the midpoint past the jump
+    # had -1.05).
+    scn = _lit_point_mass_scenario(pi0=0.3)
+    for mechanism, result in solve_all(scn).items():
+        assert result.capacity == 4.0, mechanism
+        assert result.residual >= 0.0
+        assert result.bracket[0] <= 4.0 <= result.bracket[1]
+
+
+# ------------------------------------------------ the clearing certificate
+
+def _clear_recorded(scn, c):
+    """``clear_cb(scn, c)`` and the demand at each price it tried."""
+    demands = {}
+    demand = markets.aggregate_demand_cb
+
+    def recorded(s, pi):
+        demands[pi] = demand(s, pi)
+        return demands[pi]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(markets, "aggregate_demand_cb", recorded)
+        return clear_cb(scn, c), demands
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios(), st.floats(0.2, 1.5))
+def test_clear_cb_certifies_its_price(scn, share):
+    # at the long-run capacity, the demand at pi*, two evaluations
+    # certify pi* wherever demand falls past it.  Where every buyer rents
+    # the cut of an atom, demand is flat from pi* up to A(c) at least, and
+    # pi* lies below the price bracket [A(c), A(c) + eps v_bar B(c)].
+    c_cb = solve_ne(scn, "cb").capacity
+    pi_star = scn.cost_recovering_price
+    a, b = _covered_energy(scn, c_cb)
+    top = a + scn.premium.epsilon * scn.premium.v_bar * b
+    clearing, demands = _clear_recorded(scn, c_cb)
+    past = pi_star * (1.0 + 0.5 * X_RTOL)
+    if a < pi_star < top and markets.aggregate_demand_cb(scn, past) < c_cb:
+        assert list(demands) == [pi_star, past]
+        assert clearing.price == pi_star and clearing.demand_residual == 0.0
+    # elsewhere the tried prices hold a final bracket no wider than the
+    # tolerance, demand reaching c at its lower end and not at its upper
+    # end, and the price is the end where demand is nearer c, with its
+    # residual (the same demands, so no rounding in between can blur it)
+    c = min(share * c_cb, 0.9 * _demand_bound(scn))
+    clearing, demands = _clear_recorded(scn, c)
+    lo = max(p for p, d in demands.items() if d >= c)
+    hi = min(p for p, d in demands.items() if d < c)
+    assert lo < hi and (hi - lo <= X_RTOL * hi or np.nextafter(lo, hi) == hi)
+    gaps = {p: demands[p] - c for p in (lo, hi)}
+    assert clearing.price in gaps
+    assert clearing.demand_residual == gaps[clearing.price]
+    assert abs(clearing.demand_residual) == min(map(abs, gaps.values()))

@@ -8,13 +8,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import solarmkt
 from solarmkt import (equilibrium, load_scenario, ordering_report, solve_all,
                       solve_ne)
-from solarmkt import cli
+from solarmkt import cli, markets
 from solarmkt.cli import DEFAULT_EPSILON_GRID, main
+from test_acceptance import _write_california_fixtures
 
 DESK_CONFIG = {
     "pi0_usd_per_kw": 0.125,
@@ -225,6 +227,34 @@ def test_verify_cb_at_solved_price(desk_config, tmp_path):
                  "--samples", "1", "--seed", "1", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["details"]["cb_argmax_gap"] <= payload["details"]["cb_grid_step"]
+
+
+@pytest.mark.parametrize("name", ["desk", "california", "empirical"])
+def test_verify_cb_clears_in_two_demand_evaluations(tmp_path, monkeypatch,
+                                                    name):
+    # verify used to search the clearing price afresh, in 10-12 demand
+    # evaluations; at the long-run capacity, the demand at the
+    # cost-recovering price pi*, two evaluations certify pi* itself
+    if name == "california":
+        config = _write_california_fixtures(tmp_path)
+    elif name == "empirical":
+        samples = np.random.default_rng(2).exponential(0.2, 300).tolist()
+        config = _config_with(tmp_path, "empirical.json", premium={
+            "kind": "empirical", "samples": samples})
+    else:
+        config = _config_with(tmp_path, "desk.json")
+    calls = []
+    demand = markets.aggregate_demand_cb
+    monkeypatch.setattr(markets, "aggregate_demand_cb",
+                        lambda scn, pi: calls.append(pi) or demand(scn, pi))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(config), "--mechanism", "cb",
+                 "--samples", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    pi_star = load_scenario(config).cost_recovering_price
+    assert len(calls) == 2 and calls[0] == pi_star
+    assert payload["details"]["cb_price"] == pi_star
+    assert payload["max_clearing_violation"] == 0.0
 
 
 def test_verify_cb_at_the_viability_boundary(tmp_path):

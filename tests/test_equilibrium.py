@@ -152,7 +152,7 @@ def _welfare_argmax(scenario, h=1e-5):
     at the maximizer up to a bias of about h^2/2 relative.
     """
     scale = scenario.capacity_scale
-    root, _, _ = sup_level_set(
+    root, *_ = sup_level_set(
         lambda c: welfare(scenario, c * (1.0 + h))
         - welfare(scenario, c * (1.0 - h)), 0.0, 1e-9 * scale, scale)
     return float(root)

@@ -232,9 +232,9 @@ def test_analytic_premium_demand_makes_no_array_search(monkeypatch, premium):
     ndims = []
     search = markets.sup_level_set
 
-    def recording(fn, targets, lo, hi):
+    def recording(fn, targets, lo, hi, **values):
         ndims.append(np.ndim(targets))
-        return search(fn, targets, lo, hi)
+        return search(fn, targets, lo, hi, **values)
 
     monkeypatch.setattr(markets, "sup_level_set", recording)
     a0, b0 = _covered_energy(scn, 0.0)
@@ -289,8 +289,8 @@ def test_cb_clearing_makes_no_search_at_the_choke_price(monkeypatch, power):
     inside = []
     search, demand = markets.sup_level_set, markets.aggregate_demand_cb
 
-    def recording(fn, targets, lo, hi):
-        out = search(fn, targets, lo, hi)
+    def recording(fn, targets, lo, hi, **values):
+        out = search(fn, targets, lo, hi, **values)
         if inside:
             prices[-1].append(out[2])
         return out

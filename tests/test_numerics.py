@@ -123,14 +123,17 @@ def problems(draw):
 @given(problems())
 def test_search_matches_bisection_within_its_count(problem):
     fn, targets, hi = problem
-    roots, _, evals = sup_level_set(fn, np.array(targets), 0.0, hi)
+    roots, _, evals, _ = sup_level_set(fn, np.array(targets), 0.0, hi)
     most = 0
     for t, root in zip(targets, roots):
-        scalar, (lo, up), n = sup_level_set(fn, t, 0.0, hi)
+        scalar, (lo, up), n, (g_lo, g_up) = sup_level_set(fn, t, 0.0, hi)
         assert scalar == root  # the two paths take the same steps
         # the final bracket certifies the root: lo is in the level set
         # (or is the start, never evaluated) and up is not
         assert lo < up and (lo == 0.0 or fn(lo) >= t) and fn(up) < t
+        # with fn - t there (unknown at the untried start)
+        assert g_up == fn(up) - t
+        assert g_lo == fn(lo) - t or (lo == 0.0 and np.isnan(g_lo))
         top, after = level_set_top(fn, t, 0.0, hi)
         assert lo <= top and after <= up
         ref, growths, steps = bisection(fn, t, 0.0, hi)
@@ -139,6 +142,47 @@ def test_search_matches_bisection_within_its_count(problem):
         most = max(most, n)
     # fn sees every element each step: the array path runs to the slowest
     assert evals >= most
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems())
+def test_values_handed_in_replace_evaluations(problem):
+    fn, targets, hi = problem
+    for t in targets:
+        # fn(hi) - t handed in saves exactly its evaluation and moves no
+        # step
+        root, bracket, n, gaps = sup_level_set(fn, t, 0.0, hi)
+        g_hi = float(fn(hi)) - t
+        again = sup_level_set(fn, t, 0.0, hi, g_hi=g_hi)
+        assert again[:2] == (root, bracket) and again[2] == n - 1
+        np.testing.assert_array_equal(again[3], gaps)
+        arrays = sup_level_set(fn, np.array([t]), 0.0, hi,
+                               g_hi=np.array([g_hi]))
+        assert arrays[0][0] == root and arrays[2] == n - 1
+        np.testing.assert_array_equal(np.ravel(arrays[3]), gaps)
+        # fn(lo) - t handed in starts regula falsi at once, under the same
+        # certificate and count bound
+        root, (lo, up), n, (g_lo, g_up) = sup_level_set(
+            fn, t, 0.0, hi, g_lo=float(fn(0.0)) - t)
+        assert lo < up and fn(lo) >= t and fn(up) < t
+        assert g_lo == fn(lo) - t and g_up == fn(up) - t
+        ref, growths, steps = bisection(fn, t, 0.0, hi)
+        assert abs(root - ref) <= 1.01 * X_RTOL * max(root, ref)
+        assert n <= growths + 1 + steps + ITP_N0
+
+
+def test_a_bracket_handed_in_at_tolerance_costs_no_evaluation():
+    def fn(x):
+        raise AssertionError("no evaluation needed")
+
+    lo, hi = 3.0, 3.0 * (1.0 + 0.5 * X_RTOL)
+    assert sup_level_set(fn, 1.0, lo, hi, g_lo=0.0, g_hi=-0.5)[1:] == \
+        ((lo, hi), 0, (0.0, -0.5))
+    _, (los, his), evals, (g_lo, g_hi) = sup_level_set(
+        fn, np.array([1.0, 0.75]), lo, hi, g_lo=np.array([0.0, 1.25]),
+        g_hi=np.array([-0.5, -0.75]))
+    assert evals == 0 and list(los) == [lo, lo] and list(his) == [hi, hi]
+    assert list(g_lo) == [0.0, 1.25] and list(g_hi) == [-0.5, -0.75]
 
 
 @settings(max_examples=50, deadline=None)
@@ -156,8 +200,10 @@ def test_a_point_bracket_that_falls_short_is_closed():
     # it at lo == hi, and the search then returns lo instead of dividing
     # by the bracket's zero width
     fn = lambda x: 2.0 - x
-    assert sup_level_set(fn, 1.5, 1.0, 1.0) == (1.0, (1.0, 1.0), 1)
-    root, (lo, hi), _ = sup_level_set(fn, np.array([1.5, 0.5]), 1.0, 1.0)
+    root, bracket, evals, (g_lo, g_hi) = sup_level_set(fn, 1.5, 1.0, 1.0)
+    assert (root, bracket, evals, g_hi) == (1.0, (1.0, 1.0), 1, -0.5)
+    assert np.isnan(g_lo)  # lo is the untried start
+    root, (lo, hi), _, _ = sup_level_set(fn, np.array([1.5, 0.5]), 1.0, 1.0)
     assert root[0] == lo[0] == hi[0] == 1.0
     assert root[1] == pytest.approx(1.5, rel=X_RTOL)
 
@@ -168,11 +214,11 @@ def test_an_infinite_fall_returns_the_lower_end():
     # lower end is in the level set
     for step in (0.3, 1.0 / 3.0, 2.0 ** -40):
         fn = lambda x: np.where(x <= step, 1.0, -np.inf)
-        root, (lo, hi), _ = sup_level_set(lambda x: float(fn(x)), 0.5,
-                                          0.0, 1.0)
+        root, (lo, hi), _, _ = sup_level_set(lambda x: float(fn(x)), 0.5,
+                                             0.0, 1.0)
         assert root == lo <= step < hi
-        roots, (los, _), _ = sup_level_set(fn, np.array([0.5, 0.75]),
-                                           0.0, 1.0)
+        roots, (los, _), _, _ = sup_level_set(fn, np.array([0.5, 0.75]),
+                                              0.0, 1.0)
         np.testing.assert_array_equal(roots, [root, root])
         np.testing.assert_array_equal(los, [lo, lo])
 

@@ -14,6 +14,7 @@ from solarmkt import (GenerationDistribution, IrradiationRecord,
                       fit_generation_kde, fit_truncated_exponential,
                       load_irradiation_csv, load_premium_survey,
                       load_scenario, prepare_generation_samples)
+from solarmkt import pipeline
 from solarmkt.cli import main
 from solarmkt.pipeline import _silverman_bandwidth
 
@@ -428,6 +429,33 @@ def test_load_scenario_with_data_files(tmp_path):
     assert ("bandwidth=0.01, grid_size=257,"
             in explicit.provenance["periods[0].generation"])
     assert explicit.periods[0].generation.grid.size == 257
+
+
+def test_data_file_bandwidth_is_computed_once_per_period(tmp_path,
+                                                          monkeypatch):
+    ghi = np.random.default_rng(5).uniform(100.0, 900.0, 60)
+    _write(tmp_path, "irr.csv", "timestamp,ghi_w_per_m2\n" + "".join(
+        f"2021-01-01T{i % 24:02d}:00:00,{v:.2f}\n" for i, v in enumerate(ghi)))
+    generation = {"kind": "data_file", "path": "irr.csv"}
+    config = dict(DESK_CONFIG, periods=[
+        {"load_gwh": 1.0, "utility_price_usd_per_kwh": 1.0,
+         "generation": generation},
+        {"load_gwh": 2.0, "utility_price_usd_per_kwh": 1.0,
+         "generation": dict(generation, efficiency=0.3)}])
+    path = _write(tmp_path, "two.json", json.dumps(config))
+    calls = []
+    silverman = pipeline._silverman_bandwidth
+    monkeypatch.setattr(pipeline, "_silverman_bandwidth",
+                        lambda s: calls.append(s.size) or silverman(s))
+    scn = load_scenario(path)
+    assert len(calls) == 2
+    # the fit gets the bandwidth it would have chosen: the same density
+    records = load_irradiation_csv(tmp_path / "irr.csv")
+    for period, efficiency in zip(scn.periods, (0.2, 0.3)):
+        day, _, _ = prepare_generation_samples(records, efficiency, 0.1)
+        own = fit_generation_kde(day * 1e-3)
+        np.testing.assert_array_equal(period.generation.grid, own.grid)
+        np.testing.assert_array_equal(period.generation.density, own.density)
 
 
 def test_load_scenario_inline_models(tmp_path):

@@ -55,7 +55,7 @@ def _recorded_searches():
     searches = []
 
     def recording(search):
-        def wrapped(fn, targets, lo, hi):
+        def wrapped(fn, targets, lo, hi, **values):
             assert not np.any(np.isnan(targets))
 
             def checked(x):
@@ -63,7 +63,7 @@ def _recorded_searches():
                 assert not np.any(np.isnan(y))
                 return y
 
-            out = search(checked, targets, lo, hi)
+            out = search(checked, targets, lo, hi, **values)
             searches.append((np.ndim(targets), out[2]))
             return out
         return wrapped
