@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GenerationDistribution, lambda_ratio
-from .equilibrium import solve_all, solve_ne
+from .equilibrium import _solve_sweep, solve_ne
 from .markets import Scenario, _covered_energy, _premium_revenue
 
 __all__ = [
@@ -203,7 +203,10 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     ``srt`` is solved once, on the scenario as given, and ``prt``, ``cb``
     and ``opt`` per scale, ``opt`` sharing ``prt``'s search.  ``gap_k``
     solves ``prt`` and ``cb`` at two scales below the grid, and the
-    expansion is taken at the ``srt`` capacity.
+    expansion is taken at the ``srt`` capacity.  The grid's scales and
+    the two of ``gap_k`` are one sweep (``equilibrium._solve_sweep``),
+    so the contract market's breakpoints at all of them are searched
+    together.
     ``prt_eq_opt`` holds by construction; the independent check that
     ``prt`` maximizes ``welfare`` is a test in ``tests/test_equilibrium.py``.
     The orderings compare the certified brackets without slack:
@@ -216,8 +219,6 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
 
     # The srt search reads no premium: one solve serves every row, bit for bit.
     srt = solve_ne(scenario, "srt")
-    solved = {eps: solve_all(scenario.with_epsilon(eps), ("prt", "cb", "opt"))
-              for eps in grid}
 
     coeffs = None
     flatness = None
@@ -231,19 +232,21 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     except ValueError as exc:  # DerivativeSingularError among them
         logger.info("expansion coefficients unavailable: %s", exc)
 
-    gap_k = None
+    # The second-order constant is fitted on two scales below the grid,
+    # which the check does not test, so every row tests whether the
+    # small-scale constant still bounds |gap error| / eps^2 there.
     positive = [e for e in grid if e > 0.0]
-    if coeffs is not None and positive:
-        # The second-order constant is fitted on two scales below the grid,
-        # which the check does not test, so every row tests whether the
-        # small-scale constant still bounds |gap error| / eps^2 there.
+    gap_scales = ([0.25 * min(positive), 0.5 * min(positive)]
+                  if coeffs is not None and positive else [])
+    scales = list(dict.fromkeys(grid)) + gap_scales
+    solved = dict(zip(scales, _solve_sweep(scenario, "epsilon", scales,
+                                           ("prt", "cb", "opt"))))
+
+    gap_k = None
+    if gap_scales:
         slope_gap = coeffs.cb_slope - coeffs.prt_slope
-        errs = []
-        for eps in (0.25 * min(positive), 0.5 * min(positive)):
-            res = solve_all(scenario.with_epsilon(eps), ("prt", "cb"))
-            gap = res["cb"].capacity - res["prt"].capacity
-            errs.append(abs(gap - slope_gap * eps) / eps ** 2)
-        gap_k = max(errs)
+        gap_k = max(abs(solved[eps]["cb"].capacity - solved[eps]["prt"].capacity
+                        - slope_gap * eps) / eps ** 2 for eps in gap_scales)
 
     rows = []
     passed = True

@@ -2,8 +2,9 @@
 
 All science inputs come from the JSON scenario config; the only
 environment control is SOLARMKT_LOG_LEVEL for log verbosity.  Outputs
-are deterministic given (config, seed): sweeps solve their points one
-after another in increasing value order.
+are deterministic given (config, seed): sweeps solve their points in
+increasing value order, with the contract market's breakpoints at all
+of them searched together.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 from .asymptotics import (expansion_coefficients, flatness_fit,
                           ordering_report)
-from .equilibrium import (SOLVE_MECHANISMS, check_viability, solve_all,
-                          solve_ne)
+from .equilibrium import (SOLVE_MECHANISMS, _solve_sweep, check_viability,
+                          solve_all, solve_ne)
 from .markets import verify_ce
 from .numerics import ConvergenceError, NoEquilibriumError
 from .pipeline import ScenarioConfigError, load_scenario
@@ -94,12 +95,10 @@ def cmd_sweep(args) -> int:
         raise ValueError("pi0 sweep values must be positive")
     mechanisms = tuple(_parse_fields(args.mechanisms))
 
-    rows = []
-    for value in values:
-        point = (scenario.with_epsilon(value) if args.param == "epsilon"
-                 else scenario.with_pi0(value))
-        rows += [(value, m, result)
-                 for m, result in solve_all(point, mechanisms).items()]
+    rows = [(value, m, result)
+            for value, results in zip(values, _solve_sweep(
+                scenario, args.param, values, mechanisms))
+            for m, result in results.items()]
 
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -11,7 +11,9 @@ holds exactly rather than to solver tolerance.
 
 A scenario is immutable, so each design is solved at most once per
 scenario instance: ``solve_ne`` keeps its results on the scenario, and
-``opt`` reads ``prt``'s.  Only this module touches that store.
+``opt`` reads ``prt``'s.  A sweep (``_solve_sweep``) stores the results
+its points share before solving them.  Only this module touches that
+store.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .markets import (Scenario, _capacity_search, _check_mechanism,
-                      _rt_window_value, _scarcity_integral,
+from .markets import (Scenario, _capacity_search, _cb_demands,
+                      _check_mechanism, _rt_window_value, _scarcity_integral,
                       aggregate_demand_cb, revenue_rt)
 
 __all__ = [
@@ -110,7 +112,12 @@ def _solve_cb(scenario: Scenario) -> EquilibriumResult:
     serves verification and the library API, and at this capacity it
     certifies pi* as the clearing price.
     """
-    capacity = aggregate_demand_cb(scenario, scenario.cost_recovering_price)
+    return _cb_result(scenario, aggregate_demand_cb(
+        scenario, scenario.cost_recovering_price))
+
+
+def _cb_result(scenario: Scenario, capacity: float) -> EquilibriumResult:
+    """The ``cb`` result for the demand at pi*, ``capacity``."""
     if capacity <= 0.0:
         return EquilibriumResult(mechanism="cb", capacity=0.0,
                                  residual=-scenario.pi0, bracket=(0.0, 0.0),
@@ -149,6 +156,39 @@ def solve_all(scenario: Scenario,
         _check_mechanism(m, SOLVE_MECHANISMS)
     return {m: solve_ne(scenario, m) for m in SOLVE_MECHANISMS
             if m in mechanisms}
+
+
+def _solve_sweep(scenario: Scenario, param: str, values,
+                 mechanisms=SOLVE_MECHANISMS
+                 ) -> list[dict[str, EquilibriumResult]]:
+    """``solve_all`` at ``scenario.with_epsilon(v)`` (``param``
+    "epsilon") or ``scenario.with_pi0(v)`` (``param`` "pi0") for each
+    value v, in order.
+
+    The points share the scenario's periods, so the contract market's
+    demands at every point's pi* come from one breakpoint search
+    (``markets._cb_demands``) and are stored on the points first.  An
+    epsilon point differs from the scenario only in its premium, which
+    ``srt`` does not read, so it stores the scenario's own ``srt``
+    result: one search for the whole sweep.  Every result is the same
+    bits as a fresh ``solve_all`` of its point.
+    """
+    for m in mechanisms:
+        _check_mechanism(m, SOLVE_MECHANISMS)
+    derive = {"epsilon": scenario.with_epsilon, "pi0": scenario.with_pi0}
+    if param not in derive:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    points = [derive[param](v) for v in values]
+    if "cb" in mechanisms:
+        demands = _cb_demands(scenario, [(p.premium, p.cost_recovering_price)
+                                         for p in points])
+        for point, capacity in zip(points, demands):
+            point._solved["cb"] = _cb_result(point, capacity)
+    if param == "epsilon" and "srt" in mechanisms and points:
+        srt = solve_ne(scenario, "srt")
+        for point in points:
+            point._solved["srt"] = srt
+    return [solve_all(point, mechanisms) for point in points]
 
 
 def optimal_allocation(scenario: Scenario, period_index: int, c: float,

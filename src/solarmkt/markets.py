@@ -55,6 +55,10 @@ CB_PANEL_ORDER = 8
 #: support, on top of the breakpoints and generation knots.
 CB_MIN_PANELS = 32
 
+#: Largest demand residual, relative to the capacity, at which
+#: ``clear_cb`` counts a price as clearing.
+CB_CLEARING_RTOL = 1e-7
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -62,10 +66,11 @@ class Scenario:
 
     ``pi0`` is the capital-plus-installation cost per unit capacity and
     ``t_tilde`` scales one planning window's expected revenue up to the
-    panel lifetime.  ``_solved`` holds the equilibria ``solve_ne`` has
-    found for this instance; a scenario is immutable, so they never go
-    stale, and a derived scenario (``replace``, ``with_epsilon``,
-    ``with_pi0``) starts with none.
+    panel lifetime.  ``_solved`` holds the equilibria ``equilibrium``
+    has found for this instance (``solve_ne``, or a sweep's shared
+    searches); a scenario is immutable, so they never go stale, and a
+    derived scenario (``replace``, ``with_epsilon``, ``with_pi0``)
+    starts with none.
     """
 
     periods: tuple[PeriodProfile, ...]
@@ -444,25 +449,75 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
         D(pi) = t1 + integral over [t1, t2] of P(V >= v*(t)) dt,
 
     where t1 and t2 are the demands of the zero-premium and the
-    top-premium buyer.  Gauss panels break at the demand of every
-    premium knot, where the integrand kinks, and at the capacities L/g
-    of the output knots, where it kinks or jumps.  With at most two
-    knots (an analytic premium, or scale 0, where every knot is the
-    same buyer) each knot's demand is its own plain-float search;
-    an empirical table's knots share one array search.  At price 0
-    every unit is worth renting and the demand is infinite.
+    top-premium buyer.  This is the one-point case of ``_cb_demands``:
+    the demands of the premium knots (``_cb_demand_breaks``), then the
+    integral (``_cb_layer_cake``).  At price 0 every unit is worth
+    renting and the demand is infinite.
     """
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
-    prem = scenario.premium
-    if prem.epsilon == 0.0:
-        return _cb_demand_profile(scenario, 0.0, pi)
-    levels = prem.epsilon * prem.knots
-    if levels.size <= 2:
-        breaks = np.array([_cb_demand_profile(scenario, v, pi)
-                           for v in levels.tolist()])
-    else:
-        breaks = _cb_demand_profile(scenario, levels, pi)
+    return _cb_demands(scenario, [(scenario.premium, pi)])[0]
+
+
+def _cb_demands(scenario: Scenario, points) -> list[float]:
+    """Aggregate rental demand at several (premium, price) points on the
+    scenario's periods, such as the points of a premium-scale or capital
+    cost sweep at their cost-recovering prices: their breakpoints are
+    searched together, and each point's integral is its own.  A point's
+    demand is the same bits as ``aggregate_demand_cb`` of its scenario."""
+    return [_cb_layer_cake(scenario, prem, pi, breaks)
+            for (prem, pi), breaks in zip(points,
+                                          _cb_demand_breaks(scenario, points))]
+
+
+def _cb_demand_breaks(scenario: Scenario, points) -> list:
+    """The demand of every premium knot, epsilon * knots, at each
+    (premium, price) point on the scenario's periods, in knot order: a
+    list of floats, or an array for a table premium.
+
+    Scale 0 is one knot, the zero-premium buyer.  A premium of at most
+    two knots searches each knot's demand in plain floats.  The knots of
+    every table premium, at every point, share one array search, each
+    with its own price as target: the search moves each element on its
+    own, so an element's demand does not depend on the rest of the
+    batch.  A buyer whose choke value is below the price rents nothing,
+    and at price 0 every buyer's demand is infinite.
+    """
+    a0, b0 = _covered_energy(scenario, 0.0)
+    breaks, batch = [], []
+    for prem, pi in points:
+        if pi == 0.0:
+            breaks.append([math.inf])
+        elif prem.epsilon == 0.0 or prem.knots.size <= 2:
+            levels = ((prem.epsilon * prem.knots).tolist() if prem.epsilon
+                      else [0.0])
+            breaks.append([_cb_demand_search(scenario, v, pi)
+                           if pi <= a0 + v * b0 else 0.0 for v in levels])
+        else:
+            levels = prem.epsilon * prem.knots
+            demand = np.zeros(levels.shape)
+            live = np.flatnonzero(pi <= a0 + levels * b0)
+            if live.size:
+                batch.append((demand, live, levels[live], pi))
+            breaks.append(demand)
+    if batch:
+        found = _cb_demand_search(
+            scenario, np.concatenate([vs for _, _, vs, _ in batch]),
+            np.concatenate([np.full(vs.size, pi) for _, _, vs, pi in batch]))
+        start = 0
+        for demand, live, vs, _ in batch:
+            demand[live] = found[start:start + vs.size]
+            start += vs.size
+    return breaks
+
+
+def _cb_layer_cake(scenario: Scenario, prem: PremiumDistribution, pi: float,
+                   breaks) -> float:
+    """D(pi) from the knots' demands ``breaks``: the layer-cake integral
+    of ``aggregate_demand_cb`` for premium ``prem`` on the scenario's
+    periods.  Gauss panels break at the demand of every premium knot,
+    where the integrand kinks, and at the capacities L/g of the output
+    knots, where it kinks or jumps."""
     t1, t2 = float(breaks[0]), float(breaks[-1])
     if t2 <= t1:
         return t1
@@ -497,6 +552,16 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     that bracket already meets the search's tolerance, so the price is
     pi* after two demand evaluations and no search step.  Elsewhere the
     tries narrow the bracket, and the search starts from their demands.
+    Where pi* lies at or below the bracket, demand is tried at A(c)
+    instead, the start of the search.  Where it clears c there, within
+    ``CB_CLEARING_RTOL``, as where every buyer rents an atom's cut and
+    demand is c from pi* up to A(c), it is tried at A(c) (1 + X_RTOL / 2)
+    too, and the price is A(c) after two evaluations.  A larger demand
+    at A(c) is not handed to the search: regula falsi from that far
+    below the root spends the search's lead over bisection.  A demand
+    below c at A(c) is rounding in the quadrature, and the search starts
+    without a value there too.  At scale 0 the bracket is the point
+    A(c), and the demand there is the search's value at its upper end.
     The price is the end of the final bracket where demand is nearer c,
     with the search's own residual there (demand minus c; one more
     evaluation where the lower end was never tried).  That is the lower
@@ -505,8 +570,8 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     end still clears; where c is an atom's cut that rounding leaves out
     of A(c), demand at A(c) overshoots c by a whole flat stretch, and
     the upper end clears.  A midpoint could miss c by all of the jump.
-    A residual above 1e-7 c raises rather than returning a silently bad
-    price.
+    A residual above ``CB_CLEARING_RTOL`` c raises rather than returning
+    a silently bad price.
     """
     c = _check_capacity(c)
     if c == 0.0:
@@ -518,9 +583,18 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
             "rental price draws it, so no market-clearing price exists")
     prem = scenario.premium
     lo, hi = a, a + prem.epsilon * prem.v_bar * b
-    res_lo = res_hi = None
+    res_lo = res_hi = at_a = None
     pi_star = scenario.cost_recovering_price
-    for pi in (pi_star, pi_star * (1.0 + 0.5 * X_RTOL)):
+    probes = ()
+    if lo < pi_star < hi:
+        probes = (pi_star, pi_star * (1.0 + 0.5 * X_RTOL))
+    elif pi_star <= lo:
+        at_a = aggregate_demand_cb(scenario, lo) - c
+        if hi == lo:  # scale 0: A(c) is the upper end too
+            res_hi = at_a
+        elif 0.0 <= at_a <= CB_CLEARING_RTOL * c:
+            res_lo, probes = at_a, (lo * (1.0 + 0.5 * X_RTOL),)
+    for pi in probes:
         if not lo < pi < hi:
             continue
         res = aggregate_demand_cb(scenario, pi) - c
@@ -531,10 +605,11 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     _, (lo, hi), _, (res_lo, res_hi) = sup_level_set(
         lambda pi: aggregate_demand_cb(scenario, pi), c, lo, hi,
         g_lo=res_lo, g_hi=res_hi)
-    if math.isnan(res_lo):
-        res_lo = aggregate_demand_cb(scenario, lo) - c
+    if math.isnan(res_lo):  # lo is A(c), not handed to the search
+        res_lo = (at_a if at_a is not None
+                  else aggregate_demand_cb(scenario, lo) - c)
     price, res = (lo, res_lo) if res_lo <= -res_hi else (hi, res_hi)
-    if abs(res) > 1e-7 * c:
+    if abs(res) > CB_CLEARING_RTOL * c:
         raise ConvergenceError(
             f"contract-based clearing left demand residual {res:g} at price {price:g}")
     return CbClearing(price=price, seller_quantity=c, demand_residual=res)
@@ -655,6 +730,11 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
     return max_gain, max_clear, {}
 
 
+#: Payoffs within this fraction of the backstop bill of a buyer's best
+#: grid payoff tie with it, as over a flat top: rounding, not a loss.
+CB_TIE_RTOL = 1e-12
+
+
 def _verify_cb(scenario, c, grid_size, price_perturbation):
     prem = scenario.premium
     clearing = clear_cb(scenario, c)
@@ -669,7 +749,22 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
     held = buyer_payoff_cb(scenario, buyer_vs, assigned, price)
     bill = sum(p.weight * p.load * p.utility_price for p in scenario.periods)
     buyer_gain = float((rental.max(axis=1) - held).max()) / bill
-    argmax_gap = float(np.abs(q_dev[rental.argmax(axis=1)] - assigned).max())
+    # The distance from each buyer's demand to its nearest best grid
+    # point.  The payoff is concave in q, so the points that tie the first
+    # maximizer j form an interval about it: only where a neighbour of j
+    # ties is there more than j to search.
+    j = rental.argmax(axis=1)
+    rows = np.arange(j.size)
+    near = rental[rows, j] - CB_TIE_RTOL * bill
+    gaps = np.abs(q_dev[j] - assigned)
+    left, right = np.maximum(j - 1, 0), np.minimum(j + 1, grid_size - 1)
+    flat = (((left < j) & (rental[rows, left] >= near))
+            | ((right > j) & (rental[rows, right] >= near)))
+    if flat.any():
+        gaps[flat] = np.where(rental[flat] >= near[flat, None],
+                              np.abs(q_dev - assigned[flat, None]),
+                              np.inf).min(axis=1)
+    argmax_gap = float(gaps.max())
     # sellers: payoff price * q on [0, c], maximized at q = c
     seller_gain = max(0.0, price * c - price * clearing.seller_quantity) / bill
     # clear_cb already measured the demand at its own price

@@ -6,11 +6,13 @@ forms for everything, worked out by hand and frozen in DESK below before
 the library was written.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from solarmkt import (GenerationDistribution, PeriodProfile,
-                      PremiumDistribution, Scenario, check_viability)
+                      PremiumDistribution, Scenario, check_viability, markets)
 
 # Hand-derived desk values (independent of the library):
 #   truncated mean mu(d) = 1/(2 d^2) for d >= 1, else 1/2
@@ -41,6 +43,22 @@ def desk_scenario(epsilon: float = 1.0) -> Scenario:
 @pytest.fixture
 def desk() -> Scenario:
     return desk_scenario()
+
+
+@pytest.fixture
+def search_calls(monkeypatch) -> Counter:
+    """Counts the level-set searches of the capacity and cb demand layers
+    (``markets.sup_level_set``) by kind: "float" for one target, searched
+    in plain floats, and "array" for an array of targets."""
+    calls = Counter()
+    search = markets.sup_level_set
+
+    def counted(fn, targets, *args, **kwargs):
+        calls["array" if np.ndim(targets) else "float"] += 1
+        return search(fn, targets, *args, **kwargs)
+
+    monkeypatch.setattr(markets, "sup_level_set", counted)
+    return calls
 
 
 def random_tabulated_generation(rng) -> GenerationDistribution:

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solarmkt import (GenerationDistribution, PeriodProfile, Scenario,
-                      cb_unit_value, check_viability, clear_cb,
-                      ordering_report, solve_all, solve_ne, unit_revenue_rt,
-                      verify_ce)
+from solarmkt import (GenerationDistribution, PeriodProfile,
+                      PremiumDistribution, Scenario, cb_unit_value,
+                      check_viability, clear_cb, ordering_report, solve_all,
+                      solve_ne, unit_revenue_rt, verify_ce)
 from solarmkt import asymptotics, markets
 from solarmkt.markets import (_cb_demand_profile, _covered_energy,
                               _linearized, _rt_window_value)
@@ -103,21 +103,22 @@ def test_desk_flat_top_boundary_is_one_short_search():
 def test_a_prt_fault_of_1e_9_fails_the_zero_scale_checks(desk, monkeypatch):
     clean = ordering_report(desk, [0.0, 0.5, 1.0])
     assert clean.passed and clean.rows[0].eps0_all_equal
-    solve = asymptotics.solve_all
+    sweep = asymptotics._solve_sweep
 
-    def faulty(scenario, mechanisms):
-        results = solve(scenario, mechanisms)
-        if scenario.premium.epsilon == 0.0:
-            f = 1.0 - 1e-9
-            prt = results["prt"]
-            prt = replace(prt, capacity=prt.capacity * f,
-                          bracket=(prt.bracket[0] * f, prt.bracket[1] * f))
-            results["prt"] = prt
-            if "opt" in results:
-                results["opt"] = replace(prt, mechanism="opt")
-        return results
+    def faulty(scenario, param, values, mechanisms):
+        solved = sweep(scenario, param, values, mechanisms)
+        for eps, results in zip(values, solved):
+            if eps == 0.0:
+                f = 1.0 - 1e-9
+                prt = results["prt"]
+                prt = replace(prt, capacity=prt.capacity * f,
+                              bracket=(prt.bracket[0] * f, prt.bracket[1] * f))
+                results["prt"] = prt
+                if "opt" in results:
+                    results["opt"] = replace(prt, mechanism="opt")
+        return solved
 
-    monkeypatch.setattr(asymptotics, "solve_all", faulty)
+    monkeypatch.setattr(asymptotics, "_solve_sweep", faulty)
     report = ordering_report(desk, [0.0, 0.5, 1.0])
     row = report.rows[0]
     assert not row.srt_le_prt and not row.eps0_all_equal
@@ -235,6 +236,31 @@ def _clear_recorded(scn, c):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(markets, "aggregate_demand_cb", recorded)
         return clear_cb(scn, c), demands
+
+
+def test_clear_cb_below_its_bracket_starts_from_a_c(monkeypatch):
+    # Uniform output on [0, 1.2] with load 6.5 beside output fixed at 1.75
+    # with load 5.1: every buyer rents the atom's cut 5.1 / 1.75, and
+    # demand is c from pi* = 1.78 up to A(c) = 2.35, below the price
+    # bracket.  The search started there with no value at A(c) and
+    # bisected in 45 demand evaluations.
+    periods = (PeriodProfile(load=6.5, utility_price=1.0,
+                             generation=GenerationDistribution.uniform(0.0, 1.2)),
+               PeriodProfile(load=5.1, utility_price=1.0,
+                             generation=GenerationDistribution.point_mass(1.75)))
+    premium = PremiumDistribution.empirical(
+        np.random.default_rng(0).uniform(0.0, 1.0, 30), epsilon=0.8)
+    scn = Scenario(periods=periods, premium=premium, pi0=1.9, t_tilde=2.13)
+    c = solve_ne(scn, "cb").capacity
+    assert c == 2.914285714285714
+    assert scn.cost_recovering_price < _covered_energy(scn, c)[0] == 2.35
+    calls = []
+    demand = markets.aggregate_demand_cb
+    monkeypatch.setattr(markets, "aggregate_demand_cb",
+                        lambda s, pi: calls.append(pi) or demand(s, pi))
+    clearing = clear_cb(scn, c)
+    assert clearing.price == 2.35 and clearing.demand_residual == 0.0
+    assert len(calls) <= 3
 
 
 @settings(max_examples=50, deadline=None)

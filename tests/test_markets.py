@@ -319,6 +319,23 @@ def test_verify_cb_buyers_argmax_at_demand(desk):
     assert report.details["cb_argmax_gap"] <= report.details["cb_grid_step"]
 
 
+@pytest.mark.parametrize("epsilon,pi0,gap", [(0.0, 0.5, None),
+                                             (1.0, 0.125, 0.012649110640667871)])
+def test_verify_cb_argmax_gap_reads_a_tie_as_a_hit(epsilon, pi0, gap):
+    # At scale 0 and pi0 = 0.5 the price is every buyer's choke value, so
+    # the payoff is flat over the whole flat top [0, 1]: the first
+    # maximizer of the grid, 0, was read as a miss of the held demand 1.
+    # At the desk defaults no grid point ties, and the gap stays the same.
+    scn = desk_scenario(epsilon).with_pi0(pi0)
+    report = verify_ce(scn, "cb", solve_ne(scn, "cb").capacity, 1)
+    assert report.passed
+    details = report.details
+    if gap is None:
+        assert details["cb_argmax_gap"] <= details["cb_grid_step"]
+    else:
+        assert details["cb_argmax_gap"] == gap
+
+
 @pytest.mark.parametrize("mechanism,capacity", [
     ("srt", 2.0), ("prt", 2.1908902300206643), ("cb", 2.2752393389061403)])
 def test_verify_detects_perturbed_price(desk, mechanism, capacity):

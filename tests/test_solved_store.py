@@ -4,7 +4,8 @@ A scenario and its distributions are immutable, so ``solve_ne`` keeps
 its results on the scenario instance: a repeat call returns the stored
 result, and ``opt`` reads ``prt``'s search.  A derived scenario starts
 with no results, and equality and repr ignore the store.  The guard at
-the end keeps every module but ``equilibrium`` out of it.
+the end keeps every module but ``equilibrium`` out of it, and within
+``equilibrium`` every function but ``solve_ne`` and ``_solve_sweep``.
 """
 
 import ast
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import solarmkt
-from solarmkt import Scenario, markets, solve_all, solve_ne
+from solarmkt import Scenario, solve_all, solve_ne
 from solarmkt.equilibrium import SOLVE_MECHANISMS
 from conftest import desk_scenario, random_empirical_premium, random_scenario
 
@@ -36,16 +37,6 @@ SCENARIOS = {"desk": desk_scenario, "tabulated": _tabulated,
              "empirical": _empirical_premium}
 
 
-@pytest.fixture
-def search_calls(monkeypatch):
-    """Counts the level-set searches of the capacity and cb demand layers."""
-    calls = []
-    search = markets.sup_level_set
-    monkeypatch.setattr(markets, "sup_level_set",
-                        lambda *a, **k: calls.append(1) or search(*a, **k))
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_one_call_per_mechanism_is_solve_all_bit_for_bit(name):
     make = SCENARIOS[name]
@@ -63,7 +54,7 @@ def test_opt_after_prt_makes_no_search(name, search_calls):
     assert search_calls
     search_calls.clear()
     opt = solve_ne(scn, "opt")
-    assert search_calls == []
+    assert not search_calls
     assert opt.mechanism == "opt"
     assert (opt.capacity, opt.bracket, opt.iterations) == \
         (prt.capacity, prt.bracket, prt.iterations)
@@ -74,7 +65,7 @@ def test_a_repeat_solve_returns_the_stored_result(desk, search_calls):
     first = solve_all(desk)
     search_calls.clear()
     again = {m: solve_ne(desk, m) for m in ("srt", "prt", "cb")}
-    assert search_calls == []
+    assert not search_calls
     assert all(again[m] is first[m] for m in again)
 
 
@@ -131,10 +122,16 @@ def _store_uses(tree):
 def test_only_equilibrium_touches_the_stored_solves(path):
     uses = [f"{path.name}:{line} uses {how}" for line, how in
             _store_uses(ast.parse(path.read_text(encoding="utf-8")))]
-    assert not uses, "only equilibrium.solve_ne may use the store: " + \
+    assert not uses, "only equilibrium may use the store: " + \
         "; ".join(uses)
 
 
 def test_the_guard_sees_equilibrium_use_the_store():
+    # within equilibrium, solve_ne and the sweep entry point, which stores
+    # the cb and srt results of its points before solving them, and no
+    # other function
     tree = ast.parse((SRC / "equilibrium.py").read_text(encoding="utf-8"))
-    assert list(_store_uses(tree))
+    users = {fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and list(_store_uses(fn))}
+    assert len(list(_store_uses(tree))) >= 2
+    assert users == {"solve_ne", "_solve_sweep"}
