@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .markets import (Scenario, _capacity_search, _cb_demands,
-                      _check_mechanism, _rt_window_value, _scarcity_integral,
+                      _check_capacity, _check_mechanism, _check_realization,
+                      _rt_window_value, _scarcity_integral,
                       aggregate_demand_cb, revenue_rt)
 
 __all__ = [
@@ -201,8 +202,7 @@ def optimal_allocation(scenario: Scenario, period_index: int, c: float,
     """
     if not 0 <= period_index < len(scenario.periods):
         raise ValueError(f"invalid period index {period_index}")
-    if c < 0.0 or g < 0.0:
-        raise ValueError("capacity and realization must be non-negative")
+    c, g = _check_capacity(c), _check_realization(g)
     period = scenario.periods[period_index]
     prem = scenario.premium
     served = c * g / period.load

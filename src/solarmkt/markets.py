@@ -169,6 +169,13 @@ def _check_capacity(c: float) -> float:
     return c
 
 
+def _check_realization(g: float) -> float:
+    g = float(g)
+    if not math.isfinite(g) or g < 0.0:
+        raise ValueError(f"realization must be finite and non-negative, got {g}")
+    return g
+
+
 def _clear_rt_draws(scenario: Scenario, period: PeriodProfile,
                     mechanism: str, c: float, g: np.ndarray):
     """Real-time clearing of one period for an array of realizations g.
@@ -206,9 +213,7 @@ def clear_rt(scenario: Scenario, period_index: int, mechanism: str,
     if not 0 <= period_index < len(scenario.periods):
         raise ValueError(f"invalid period index {period_index}")
     c = _check_capacity(c)
-    g = float(g)
-    if not math.isfinite(g) or g < 0.0:
-        raise ValueError(f"realization must be finite and non-negative, got {g}")
+    g = _check_realization(g)
 
     abundant, price, quantity, served, threshold = _clear_rt_draws(
         scenario, scenario.periods[period_index], mechanism, c, np.array([g]))
@@ -329,8 +334,9 @@ def cb_unit_value(scenario: Scenario, v, d):
     """
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
-    if np.any(~np.isfinite(d)) or np.any(d < 0.0):
-        raise ValueError("capacity must be finite and non-negative")
+    for name, x in (("premium", v), ("capacity", d)):
+        if not np.all(np.isfinite(x) & (x >= 0.0)):
+            raise ValueError(f"{name} must be finite and non-negative")
     a, b = _covered_energy(scenario, d)
     return a + v * b
 
@@ -353,43 +359,44 @@ def _linearized(y):
         return -1.0 / np.sqrt(np.maximum(y, 0.0))
 
 
-def _cb_demand_profile(scenario: Scenario, vs, pi: float):
-    """Demanded capacity per buyer type at rental price pi.
+def _cb_demand_profile(scenario: Scenario, v, pi):
+    """Capacity a buyer with premium v rents at rental price pi: the
+    largest d with A(d) + v B(d) >= pi (``_capacity_search``).
 
-    A float ``vs`` is one buyer, searched in plain floats, and gives a
-    float; anything else is an array of buyer types, searched together
-    in one array search, and gives an array.  Both take the same steps
-    in the same arithmetic, so a buyer's demand is the same bits either
-    way.  At price 0 every unit is worth renting, so demand is
-    unbounded; a buyer whose choke value is below pi rents nothing.
+    Floats v and pi are one buyer, searched in plain floats, and give a
+    float; anything else broadcasts to an array of (premium, price)
+    pairs, searched together in one array search, and gives an array.
+    Both take the same steps in the same arithmetic, and the search
+    moves each element on its own, so a buyer's demand is the same bits
+    either way.  At price 0 every unit is worth renting, so demand is
+    unbounded; a buyer whose choke value A(0) + v B(0) is below pi rents
+    nothing.
     """
     a0, b0 = _covered_energy(scenario, 0.0)
-    if isinstance(vs, float):
+    scalar = isinstance(v, float) and isinstance(pi, float)
+    if scalar:
         if pi == 0.0:
             return math.inf
-        if not pi <= a0 + vs * b0:
+        if not pi <= a0 + v * b0:
             return 0.0
-        return _cb_demand_search(scenario, vs, pi)
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    if pi == 0.0:
-        return np.full(vs.shape, np.inf)
-    live = pi <= a0 + vs * b0
-    out = np.zeros(vs.shape)
-    if live.any():
-        out[live] = _cb_demand_search(scenario, vs[live],
-                                      np.full(np.count_nonzero(live), pi))
-    return out
-
-
-def _cb_demand_search(scenario: Scenario, v, target):
-    """Largest capacity d with A(d) + v B(d) >= target, for a float or
-    an array of premiums v and targets at most their choke values."""
+    else:
+        v, pi = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
+                                    np.asarray(pi, dtype=float))
+        out = np.where(pi == 0.0, np.inf, 0.0)
+        live = (pi > 0.0) & (pi <= a0 + v * b0)
+        if not live.any():
+            return out
+        v, pi = v[live], pi[live]
 
     def value(d):
         a, b = _covered_energy(scenario, d)
         return a + v * b
 
-    return _capacity_search(scenario, value, target)[0]
+    demand = _capacity_search(scenario, value, pi)[0]
+    if scalar:
+        return demand
+    out[live] = demand
+    return out
 
 
 def _capacity_search(scenario: Scenario, value, target):
@@ -456,7 +463,7 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
     """
     if pi < 0.0 or not math.isfinite(pi):
         raise ValueError(f"price must be finite and non-negative, got {pi}")
-    return _cb_demands(scenario, [(scenario.premium, pi)])[0]
+    return _cb_demands(scenario, [(scenario.premium, float(pi))])[0]
 
 
 def _cb_demands(scenario: Scenario, points) -> list[float]:
@@ -477,36 +484,26 @@ def _cb_demand_breaks(scenario: Scenario, points) -> list:
 
     Scale 0 is one knot, the zero-premium buyer.  A premium of at most
     two knots searches each knot's demand in plain floats.  The knots of
-    every table premium, at every point, share one array search, each
-    with its own price as target: the search moves each element on its
-    own, so an element's demand does not depend on the rest of the
-    batch.  A buyer whose choke value is below the price rents nothing,
-    and at price 0 every buyer's demand is infinite.
+    every table premium, at every point, are one array call of
+    ``_cb_demand_profile``, each with its own price.
     """
-    a0, b0 = _covered_energy(scenario, 0.0)
-    breaks, batch = [], []
+    breaks, tables = [], []
     for prem, pi in points:
-        if pi == 0.0:
-            breaks.append([math.inf])
-        elif prem.epsilon == 0.0 or prem.knots.size <= 2:
+        if prem.epsilon == 0.0 or prem.knots.size <= 2:
             levels = ((prem.epsilon * prem.knots).tolist() if prem.epsilon
                       else [0.0])
-            breaks.append([_cb_demand_search(scenario, v, pi)
-                           if pi <= a0 + v * b0 else 0.0 for v in levels])
+            breaks.append([_cb_demand_profile(scenario, v, pi)
+                           for v in levels])
         else:
-            levels = prem.epsilon * prem.knots
-            demand = np.zeros(levels.shape)
-            live = np.flatnonzero(pi <= a0 + levels * b0)
-            if live.size:
-                batch.append((demand, live, levels[live], pi))
-            breaks.append(demand)
-    if batch:
-        found = _cb_demand_search(
-            scenario, np.concatenate([vs for _, _, vs, _ in batch]),
-            np.concatenate([np.full(vs.size, pi) for _, _, vs, pi in batch]))
+            tables.append((len(breaks), prem.epsilon * prem.knots, pi))
+            breaks.append(None)
+    if tables:
+        found = _cb_demand_profile(
+            scenario, np.concatenate([vs for _, vs, _ in tables]),
+            np.concatenate([np.full(vs.size, pi) for _, vs, pi in tables]))
         start = 0
-        for demand, live, vs, _ in batch:
-            demand[live] = found[start:start + vs.size]
+        for i, vs, _ in tables:
+            breaks[i] = found[start:start + vs.size]
             start += vs.size
     return breaks
 
@@ -545,33 +542,20 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     any period, so no buyer values it and no positive price draws it:
     NoEquilibriumError.
 
-    Demand is first tried, inside that bracket, at the cost-recovering
-    price pi* (``Scenario.cost_recovering_price``) and, if it still
-    draws c there, at pi* (1 + X_RTOL / 2).  At the long-run capacity,
-    the demand at pi*, the first reaches c and the second falls short:
-    that bracket already meets the search's tolerance, so the price is
-    pi* after two demand evaluations and no search step.  Elsewhere the
-    tries narrow the bracket, and the search starts from their demands.
-    Where pi* lies at or below the bracket, demand is tried at A(c)
-    instead, the start of the search.  Where it clears c there, within
-    ``CB_CLEARING_RTOL``, as where every buyer rents an atom's cut and
-    demand is c from pi* up to A(c), it is tried at A(c) (1 + X_RTOL / 2)
-    too, and the price is A(c) after two evaluations.  A larger demand
-    at A(c) is not handed to the search: regula falsi from that far
-    below the root spends the search's lead over bisection.  A demand
-    below c at A(c) is rounding in the quadrature, and the search starts
-    without a value there too.  At scale 0 the bracket is the point
-    A(c), and the demand there is the search's value at its upper end.
-    The price is the end of the final bracket where demand is nearer c,
-    with the search's own residual there (demand minus c; one more
-    evaluation where the lower end was never tried).  That is the lower
-    end, whose demand reaches c, unless demand jumps past c inside the
-    bracket: at a choke price it falls from c to below it, and the lower
-    end still clears; where c is an atom's cut that rounding leaves out
-    of A(c), demand at A(c) overshoots c by a whole flat stretch, and
-    the upper end clears.  A midpoint could miss c by all of the jump.
-    A residual above ``CB_CLEARING_RTOL`` c raises rather than returning
-    a silently bad price.
+    Before its one search, demand is tried at the cost-recovering price
+    pi* (``Scenario.cost_recovering_price``) clamped into that bracket,
+    and then at the zero-premium buyer's choke value A(0), where demand
+    kinks, if it still lies inside the narrowed bracket.  A try whose
+    demand reaches c by at most ``CB_CLEARING_RTOL`` c is followed by
+    one more at X_RTOL / 2 above it, so a price that clears, as pi* does
+    at the long-run capacity, is certified in two evaluations.  The
+    search starts from the demands tried at the ends of the bracket
+    they leave; it grows past the top only where demand there still
+    reaches c.  The price is the end of the final bracket where demand
+    is nearer c, with its residual (demand minus c): at a jump of demand
+    past c a midpoint could miss c by all of the jump.  A residual above
+    ``CB_CLEARING_RTOL`` c raises rather than returning a silently bad
+    price.
     """
     c = _check_capacity(c)
     if c == 0.0:
@@ -581,33 +565,30 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
         raise NoEquilibriumError(
             f"capacity {c:g} covers no energy in any period; no positive "
             "rental price draws it, so no market-clearing price exists")
-    prem = scenario.premium
-    lo, hi = a, a + prem.epsilon * prem.v_bar * b
-    res_lo = res_hi = at_a = None
-    pi_star = scenario.cost_recovering_price
-    probes = ()
-    if lo < pi_star < hi:
-        probes = (pi_star, pi_star * (1.0 + 0.5 * X_RTOL))
-    elif pi_star <= lo:
-        at_a = aggregate_demand_cb(scenario, lo) - c
-        if hi == lo:  # scale 0: A(c) is the upper end too
-            res_hi = at_a
-        elif 0.0 <= at_a <= CB_CLEARING_RTOL * c:
-            res_lo, probes = at_a, (lo * (1.0 + 0.5 * X_RTOL),)
-    for pi in probes:
-        if not lo < pi < hi:
+    top = a + scenario.premium.epsilon * scenario.premium.v_bar * b
+    tried = {}  # demand minus c at each price tried
+
+    def bracket():
+        lo = max((pi for pi, res in tried.items() if res >= 0.0), default=a)
+        hi = min((pi for pi, res in tried.items() if res < 0.0 and pi >= lo),
+                 default=max(lo, top))
+        return lo, hi
+
+    for first in (min(max(scenario.cost_recovering_price, a), top),
+                  _covered_energy(scenario, 0.0)[0]):
+        lo, hi = bracket()
+        if first in tried or not lo <= first <= hi:
             continue
-        res = aggregate_demand_cb(scenario, pi) - c
-        if res < 0.0:
-            hi, res_hi = pi, res
-            break
-        lo, res_lo = pi, res
+        for pi in (first, first * (1.0 + 0.5 * X_RTOL)):
+            tried[pi] = res = aggregate_demand_cb(scenario, pi) - c
+            if not 0.0 <= res <= CB_CLEARING_RTOL * c:
+                break
+    lo, hi = bracket()
     _, (lo, hi), _, (res_lo, res_hi) = sup_level_set(
         lambda pi: aggregate_demand_cb(scenario, pi), c, lo, hi,
-        g_lo=res_lo, g_hi=res_hi)
-    if math.isnan(res_lo):  # lo is A(c), not handed to the search
-        res_lo = (at_a if at_a is not None
-                  else aggregate_demand_cb(scenario, lo) - c)
+        g_lo=tried.get(lo, math.nan), g_hi=tried.get(hi))
+    if math.isnan(res_lo):  # lo is A(c), never tried
+        res_lo = aggregate_demand_cb(scenario, lo) - c
     price, res = (lo, res_lo) if res_lo <= -res_hi else (hi, res_hi)
     if abs(res) > CB_CLEARING_RTOL * c:
         raise ConvergenceError(

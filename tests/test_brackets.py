@@ -292,3 +292,24 @@ def test_clear_cb_certifies_its_price(scn, share):
     assert clearing.price in gaps
     assert clearing.demand_residual == gaps[clearing.price]
     assert abs(clearing.demand_residual) == min(map(abs, gaps.values()))
+
+
+def test_clear_cb_tries_the_kink_at_the_zero_premium_choke_value(desk):
+    # At half its long-run capacity desk clears at 0.5, the zero-premium
+    # buyer's choke value A(0), where demand kinks: bisection took 46
+    # demand evaluations there.
+    clearing, demands = _clear_recorded(desk, 0.5 * solve_ne(desk, "cb").capacity)
+    assert clearing.price == pytest.approx(0.5, rel=1e-13, abs=0.0)
+    assert len(demands) <= 3
+
+
+@pytest.mark.parametrize("share", [0.9, 1.0, 1.1])
+def test_clear_cb_at_scale_0_takes_two_evaluations(share):
+    # the bracket is the point A(c); growing it eightfold and bisecting
+    # back took 7 or 8 demand evaluations
+    scn = desk_scenario(epsilon=0.0)
+    c = share * solve_ne(scn, "cb").capacity
+    clearing, demands = _clear_recorded(scn, c)
+    assert len(demands) <= 2
+    assert clearing.price == pytest.approx(
+        float(cb_unit_value(scn, 0.0, c)), rel=X_RTOL, abs=0.0)

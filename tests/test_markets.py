@@ -1,5 +1,7 @@
 """Per-realization clearing, revenues, and the contract market demand side."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,8 @@ from solarmkt import (GenerationDistribution, NoEquilibriumError,
                       PeriodProfile, PremiumDistribution, Scenario,
                       aggregate_demand_cb, buyer_payoff_cb, cb_unit_value,
                       clear_cb, clear_rt, individual_demand_cb, markets,
-                      revenue_rt, solve_ne, unit_revenue_rt, verify_ce)
+                      optimal_allocation, revenue_rt, solve_ne,
+                      unit_revenue_rt, verify_ce)
 from conftest import (desk_scenario, random_scenario,
                       random_tabulated_generation)
 
@@ -54,6 +57,25 @@ def test_clear_rt_rejects_bad_period(desk):
         clear_rt(desk, 3, "prt", 1.0, 0.5)
     with pytest.raises(ValueError):
         clear_rt(desk, 0, "cb", 1.0, 0.5)
+
+
+#: One capacity, realization or premium argument of each call.
+INPUT_CALLS = {
+    "clear_rt capacity": lambda s, x: clear_rt(s, 0, "prt", x, 0.5),
+    "clear_rt realization": lambda s, x: clear_rt(s, 0, "prt", 1.0, x),
+    "optimal_allocation capacity": lambda s, x: optimal_allocation(s, 0, x, 0.5),
+    "optimal_allocation realization":
+        lambda s, x: optimal_allocation(s, 0, 1.0, x),
+    "cb_unit_value premium": lambda s, x: cb_unit_value(s, x, 1.0),
+    "cb_unit_value capacity": lambda s, x: cb_unit_value(s, 0.3, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("call", INPUT_CALLS.values(), ids=INPUT_CALLS.keys())
+def test_non_finite_and_negative_inputs_are_rejected(desk, call, bad):
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        call(desk, bad)
 
 
 # ------------------------------------------------------------------- revenues

@@ -6,7 +6,9 @@ property tests hold both to a plain bisection on the untransformed
 values; the count guards pin the evaluations the transform saves.
 """
 
+import ast
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from solarmkt import (GenerationDistribution, PeriodProfile,
                       PremiumDistribution, Scenario, aggregate_demand_cb,
                       check_viability, clear_cb, cb_unit_value, solve_ne,
                       unit_revenue_rt)
+import solarmkt
 from solarmkt import markets
 from solarmkt.markets import _cb_demand_profile
 from solarmkt.numerics import X_RTOL
@@ -205,3 +208,42 @@ def test_a_demand_that_reaches_zero_value_stays_finite():
                        np.full(3, 0.01), scn.capacity_scale)
     np.testing.assert_allclose(got, want, rtol=2 * X_RTOL, atol=0.0)
     assert np.all(got < 2.0)
+
+
+# ----------------------------------------------------------------- the guard
+
+class _References(ast.NodeVisitor):
+    """Every read of one name, by the top-level function it is read in."""
+
+    def __init__(self, name):
+        self.name = name
+        self.stack = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.found.append(self.stack[min(1, len(self.stack) - 1)])
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.append(self.stack[min(1, len(self.stack) - 1)])
+        self.generic_visit(node)
+
+
+def test_capacity_search_has_one_buyer_demand_caller():
+    # a cb buyer's demand is searched in one routine, and the real-time
+    # zero-profit solve is the same search: no second demand routine
+    callers = []
+    for path in sorted(Path(solarmkt.__file__).parent.glob("*.py")):
+        visitor = _References("_capacity_search")
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers += [f"{path.stem}.{func}" for func in visitor.found]
+    assert sorted(callers) == ["equilibrium._solve_characteristic",
+                               "markets._cb_demand_profile"]
