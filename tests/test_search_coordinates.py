@@ -212,38 +212,15 @@ def test_a_demand_that_reaches_zero_value_stays_finite():
 
 # ----------------------------------------------------------------- the guard
 
-class _References(ast.NodeVisitor):
-    """Every read of one name, by the top-level function it is read in."""
-
-    def __init__(self, name):
-        self.name = name
-        self.stack = ["<module>"]
-        self.found = []
-
-    def visit_FunctionDef(self, node):
-        self.stack.append(node.name)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Name(self, node):
-        if node.id == self.name:
-            self.found.append(self.stack[min(1, len(self.stack) - 1)])
-
-    def visit_Attribute(self, node):
-        if node.attr == self.name:
-            self.found.append(self.stack[min(1, len(self.stack) - 1)])
-        self.generic_visit(node)
-
-
 def test_capacity_search_has_one_buyer_demand_caller():
     # a cb buyer's demand is searched in one routine, and the real-time
     # zero-profit solve is the same search: no second demand routine
     callers = []
     for path in sorted(Path(solarmkt.__file__).parent.glob("*.py")):
-        visitor = _References("_capacity_search")
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        callers += [f"{path.stem}.{func}" for func in visitor.found]
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                        for node in ast.walk(top)
+                        if getattr(node, "id", getattr(node, "attr", None))
+                        == "_capacity_search"]
     assert sorted(callers) == ["equilibrium._solve_characteristic",
                                "markets._cb_demand_profile"]
