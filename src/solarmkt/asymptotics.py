@@ -1,12 +1,13 @@
 """Small-premium expansions and capacity-ordering diagnostics.
 
 Near a vanishing premium scale all mechanisms share the pooled-market
-capacity ``c0``; the differentiated and contract-based capacities move
-away from it at first-order rates that have closed forms in the
-truncated mean, its derivative, and the unscaled premium quantile.  The
-gap between those rates is what drives contract-market over-investment,
-with a strictly positive floor ``beta`` whenever the generation density
-is flat enough over the scarcity region.
+capacity ``c0``, which the expansion and the flatness fit read off the
+scenario's own ``srt`` solve.  The differentiated and contract-based
+capacities move away from it at first-order rates that have closed
+forms in the truncated mean, its derivative, and the unscaled premium
+quantile.  The gap between those rates is what drives contract-market
+over-investment, with a strictly positive floor ``beta`` whenever the
+generation density is flat enough over the scarcity region.
 """
 
 from __future__ import annotations
@@ -91,14 +92,24 @@ def _density_range(gen: GenerationDistribution, upper: float):
     return float(vals.min()), float(vals.max())
 
 
-def flatness_fit(scenario: Scenario, c_srt: float) -> FlatnessReport:
-    """Fit the tightest flat-density band on (0, L/c_srt] per period.
+def _expansion_point(scenario: Scenario) -> float:
+    """c0, the scenario's ``srt`` capacity: the ``srt`` search reads no
+    premium, so this is every design's capacity at premium scale 0."""
+    c0 = solve_ne(scenario, "srt").capacity
+    if not c0 > 0.0:
+        raise ValueError("scenario is not viable: the zero-premium base "
+                         "capacity is zero, so no expansion point exists")
+    return c0
+
+
+def flatness_fit(scenario: Scenario) -> FlatnessReport:
+    """Fit the tightest flat-density band on (0, L/c0] per period, c0
+    the expansion point (``_expansion_point``).
 
     The band is exact (see ``_density_range``).  A period whose output
     has a single knot, an atom, has no density and is left out.
     """
-    if c_srt <= 0.0 or not math.isfinite(c_srt):
-        raise ValueError(f"c_srt must be positive and finite, got {c_srt}")
+    c0 = _expansion_point(scenario)
     levels: list[float | None] = []
     deltas: list[float | None] = []
     for index, period in enumerate(scenario.periods):
@@ -109,7 +120,7 @@ def flatness_fit(scenario: Scenario, c_srt: float) -> FlatnessReport:
             levels.append(None)
             deltas.append(None)
             continue
-        f_min, f_max = _density_range(gen, period.load / c_srt)
+        f_min, f_max = _density_range(gen, period.load / c0)
         levels.append(0.5 * (f_min + f_max))
         deltas.append((f_max - f_min) / (f_max + f_min) if f_max > 0.0 else 1.0)
     fitted = [d for d in deltas if d is not None]
@@ -118,13 +129,16 @@ def flatness_fit(scenario: Scenario, c_srt: float) -> FlatnessReport:
                           per_period_delta=tuple(deltas))
 
 
-def _slope_terms(scenario: Scenario, c0: float):
-    """Premium-revenue numerator, truncated-mean-derivative denominator, B(c0).
+def expansion_coefficients(scenario: Scenario) -> ExpansionCoefficients:
+    """All small-scale expansion constants at the expansion point c0
+    (``_expansion_point``).
 
-    The numerator is the premium revenue R1(c0) at premium scale 1; the
-    denominator is the per-period exact derivative -(L^2/c0^3) f(L/c0)
-    of the truncated mean, price-weighted.
+    Both slopes divide by the price-weighted exact derivative of the
+    truncated means, sum w u (-(L^2/c0^3) f(L/c0)): the prt slope
+    negates the premium revenue R1(c0) at premium scale 1, the cb slope
+    the mean base premium times the covered energy B(c0).
     """
+    c0 = _expansion_point(scenario)
     denominator = 0.0
     for period in scenario.periods:
         gen, load = period.generation, period.load
@@ -136,17 +150,7 @@ def _slope_terms(scenario: Scenario, c0: float):
             "no generation density at the scarcity boundary load/c0; "
             "the first-order expansion is singular")
     mu_sum = float(_covered_energy(scenario, c0)[1])
-    return _premium_revenue(scenario, c0), denominator, mu_sum
-
-
-def expansion_coefficients(scenario: Scenario, c0: float) -> ExpansionCoefficients:
-    """All small-scale expansion constants at c0, the ``srt`` capacity
-    (which reads no premium): every design's capacity at scale zero."""
-    if not (c0 > 0.0 and math.isfinite(c0)):
-        raise ValueError("scenario is not viable: the zero-premium base "
-                         "capacity is zero, so no expansion point exists")
-    numerator, denominator, mu_sum = _slope_terms(scenario, c0)
-    prt_slope = -numerator / denominator
+    prt_slope = -_premium_revenue(scenario, c0) / denominator
     lam = lambda_ratio(scenario.premium)
     return ExpansionCoefficients(
         c0=c0, prt_slope=prt_slope,
@@ -203,7 +207,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     ``srt`` is solved once, on the scenario as given, and ``prt``, ``cb``
     and ``opt`` per scale, ``opt`` sharing ``prt``'s search.  ``gap_k``
     solves ``prt`` and ``cb`` at two scales below the grid, and the
-    expansion is taken at the ``srt`` capacity.  The grid's scales and
+    expansion reads that same ``srt`` result.  The grid's scales and
     the two of ``gap_k`` are one sweep (``equilibrium._solve_sweep``),
     so the contract market's breakpoints at all of them are searched
     together.
@@ -224,8 +228,8 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     flatness = None
     informational = True
     try:
-        coeffs = expansion_coefficients(scenario, srt.capacity)
-        flatness = flatness_fit(scenario, coeffs.c0)
+        coeffs = expansion_coefficients(scenario)
+        flatness = flatness_fit(scenario)
         if math.isfinite(flatness.delta):
             delta_bound = (1.0 - coeffs.lam) / (1.0 + 3.0 * coeffs.lam)
             informational = flatness.delta > delta_bound

@@ -68,13 +68,13 @@ def cmd_solve(args) -> int:
         "expansion": None,
     }
     try:
-        coeffs = expansion_coefficients(scenario, results["srt"].capacity)
+        coeffs = expansion_coefficients(scenario)
         payload["expansion"] = {
             "c0": coeffs.c0, "prt_slope": coeffs.prt_slope,
             "cb_slope": coeffs.cb_slope, "lambda": coeffs.lam,
             "beta": coeffs.beta,
         }
-        flat = flatness_fit(scenario, coeffs.c0)
+        flat = flatness_fit(scenario)
         payload["flatness"] = {"r0": list(flat.r0), "delta": flat.delta,
                                "per_period_delta": list(flat.per_period_delta)}
     except ValueError as exc:

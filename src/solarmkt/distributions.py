@@ -279,44 +279,35 @@ class GenerationDistribution:
             out = self.partial_first_moment(load / d)  # the mean at d = 0
         return out if out.ndim else float(out)
 
-    def quad_nodes(self, lo: float, hi: float):
-        """Quadrature nodes/weights for E[h(G); lo <= G <= hi].
+    def quad_nodes(self, hi: float):
+        """Quadrature nodes/weights for E[h(G); G <= hi].
 
         Weights absorb the density, so ``weights @ h(nodes)`` is the
         (partial) expectation.  Uniform output gets one 64-node Gauss
         panel; tabulated output gets per-cell panels between its knots,
         so the piecewise-linear density is integrated exactly.  Those
-        cells come from ``_cell_rule``, built once; only a cell that lo
-        or hi cuts is laid anew.  The arrays may be read-only views of
-        that table.
+        cells come from ``_cell_rule``, built once; only a cell that hi
+        cuts is laid anew.  The arrays may be read-only views of that
+        table.
         """
         if self.kind == "uniform":
-            x, w = gauss_legendre_rule(max(lo, self.lo), min(hi, self.hi))
+            x, w = gauss_legendre_rule(self.lo, min(hi, self.hi))
             return x, w / (self.hi - self.lo)
         if self.kind == "point_mass":
-            if lo <= self.value <= hi:
+            if self.value <= hi:
                 return np.array([self.value]), np.array([1.0])
             return np.empty(0), np.empty(0)
         knots = self._knot_list
-        lo, hi = max(lo, knots[0]), min(hi, knots[-1])
-        if hi <= lo:
+        hi = min(hi, knots[-1])
+        if hi <= knots[0]:
             return np.empty(0), np.empty(0)
-        i = bisect_right(knots, lo)  # knots[i - 1] <= lo < knots[i]
-        j = bisect_left(knots, hi)   # knots[j - 1] < hi <= knots[j]
-        if i == j:
-            return self._cut_cell(lo, hi)
-        start = i - 1 if lo == knots[i - 1] else i
-        stop = j if hi == knots[j] else j - 1
+        j = bisect_left(knots, hi)  # knots[j - 1] < hi <= knots[j]
         xs, ws = self._cell_rule
-        parts = [(xs[start * _CELL_ORDER:stop * _CELL_ORDER],
-                  ws[start * _CELL_ORDER:stop * _CELL_ORDER])]
-        if start == i:
-            parts.insert(0, self._cut_cell(lo, knots[i]))
-        if stop < j:
-            parts.append(self._cut_cell(knots[j - 1], hi))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        if hi == knots[j]:
+            return xs[:j * _CELL_ORDER], ws[:j * _CELL_ORDER]
+        n = (j - 1) * _CELL_ORDER
+        x_cut, w_cut = self._cut_cell(knots[j - 1], hi)
+        return np.concatenate((xs[:n], x_cut)), np.concatenate((ws[:n], w_cut))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n realizations (inverse-CDF sampling for tabulated kinds)."""

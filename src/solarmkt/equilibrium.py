@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .markets import (Scenario, _capacity_search, _cb_demands,
-                      _check_capacity, _check_mechanism, _check_realization,
-                      _rt_window_value, _scarcity_integral,
-                      aggregate_demand_cb, revenue_rt)
+                      _check_mechanism, _check_nonneg, _rt_window_value,
+                      _scarcity_integral, aggregate_demand_cb, revenue_rt)
 
 __all__ = [
     "EquilibriumResult",
@@ -202,7 +201,7 @@ def optimal_allocation(scenario: Scenario, period_index: int, c: float,
     """
     if not 0 <= period_index < len(scenario.periods):
         raise ValueError(f"invalid period index {period_index}")
-    c, g = _check_capacity(c), _check_realization(g)
+    c, g = _check_nonneg("capacity", c), _check_nonneg("realization", g)
     period = scenario.periods[period_index]
     prem = scenario.premium
     served = c * g / period.load
@@ -220,8 +219,7 @@ def welfare(scenario: Scenario, c: float) -> float:
     purchases, then subtracts the capital bill.  Concave in c, with its
     maximizer characterized by the same condition as the prt capacity.
     """
-    if c < 0.0 or not math.isfinite(c):
-        raise ValueError(f"capacity must be finite and non-negative, got {c}")
+    c = _check_nonneg("capacity", c)
     prem = scenario.premium
     premium_value = _scarcity_integral(
         scenario, c, prem.integrated_complementary_quantile,

@@ -162,18 +162,20 @@ def _check_mechanism(mechanism: str, allowed=MECHANISMS):
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {allowed}")
 
 
-def _check_capacity(c: float) -> float:
-    c = float(c)
-    if not math.isfinite(c) or c < 0.0:
-        raise ValueError(f"capacity must be finite and non-negative, got {c}")
-    return c
-
-
-def _check_realization(g: float) -> float:
-    g = float(g)
-    if not math.isfinite(g) or g < 0.0:
-        raise ValueError(f"realization must be finite and non-negative, got {g}")
-    return g
+def _check_nonneg(name: str, x):
+    """x as a float, or as a float array if it has dimensions, once every
+    value is checked finite and non-negative.  A float is checked with no
+    numpy call: ``aggregate_demand_cb`` checks one in ``clear_cb``'s search."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            if not np.all(np.isfinite(x) & (x >= 0.0)):
+                raise ValueError(f"{name} must be finite and non-negative")
+            return x
+        x = float(x)
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite and non-negative, got {x}")
+    return x
 
 
 def _clear_rt_draws(scenario: Scenario, period: PeriodProfile,
@@ -212,8 +214,8 @@ def clear_rt(scenario: Scenario, period_index: int, mechanism: str,
     _check_mechanism(mechanism, RT_MECHANISMS)
     if not 0 <= period_index < len(scenario.periods):
         raise ValueError(f"invalid period index {period_index}")
-    c = _check_capacity(c)
-    g = _check_realization(g)
+    c = _check_nonneg("capacity", c)
+    g = _check_nonneg("realization", g)
 
     abundant, price, quantity, served, threshold = _clear_rt_draws(
         scenario, scenario.periods[period_index], mechanism, c, np.array([g]))
@@ -270,7 +272,7 @@ def _scarcity_integral(scenario: Scenario, c: float, kernel,
         if gen.support_hi <= 0.0:
             continue
         upper = load / c if c > 0.0 else math.inf
-        g, weights = gen.quad_nodes(0.0, upper)
+        g, weights = gen.quad_nodes(upper)
         if g.size:
             lit.append((period, g, weights))
             fracs.append(np.minimum(c * g / load, 1.0))
@@ -312,13 +314,13 @@ def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     the load in each realization: t_tilde / horizon times the window
     value ``_rt_window_value``."""
     _check_mechanism(mechanism, RT_MECHANISMS)
-    c = _check_capacity(c)
+    c = _check_nonneg("capacity", c)
     return scenario.period_scale * _rt_window_value(scenario, mechanism, c)
 
 
 def revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     """Expected lifetime seller revenue at aggregate capacity c."""
-    c = _check_capacity(c)
+    c = _check_nonneg("capacity", c)
     if c == 0.0:
         return 0.0
     return c * unit_revenue_rt(scenario, mechanism, c)
@@ -332,12 +334,8 @@ def cb_unit_value(scenario: Scenario, v, d):
     covers.  Non-increasing in d; its extended inverse is the buyer's
     demand curve.
     """
-    v = np.asarray(v, dtype=float)
-    d = np.asarray(d, dtype=float)
-    for name, x in (("premium", v), ("capacity", d)):
-        if not np.all(np.isfinite(x) & (x >= 0.0)):
-            raise ValueError(f"{name} must be finite and non-negative")
-    a, b = _covered_energy(scenario, d)
+    v = _check_nonneg("premium", v)
+    a, b = _covered_energy(scenario, _check_nonneg("capacity", d))
     return a + v * b
 
 
@@ -437,11 +435,8 @@ def _capacity_search(scenario: Scenario, value, target):
 
 def individual_demand_cb(scenario: Scenario, v_i: float, pi: float) -> float:
     """Capacity a buyer with premium v_i rents at price pi (0 when priced out)."""
-    if pi < 0.0 or not math.isfinite(pi):
-        raise ValueError(f"price must be finite and non-negative, got {pi}")
-    if v_i < 0.0 or not math.isfinite(v_i):
-        raise ValueError(f"premium must be finite and non-negative, got {v_i}")
-    return _cb_demand_profile(scenario, float(v_i), float(pi))
+    return _cb_demand_profile(scenario, _check_nonneg("premium", v_i),
+                              _check_nonneg("price", pi))
 
 
 def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
@@ -461,9 +456,8 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
     integral (``_cb_layer_cake``).  At price 0 every unit is worth
     renting and the demand is infinite.
     """
-    if pi < 0.0 or not math.isfinite(pi):
-        raise ValueError(f"price must be finite and non-negative, got {pi}")
-    return _cb_demands(scenario, [(scenario.premium, float(pi))])[0]
+    return _cb_demands(scenario,
+                       [(scenario.premium, _check_nonneg("price", pi))])[0]
 
 
 def _cb_demands(scenario: Scenario, points) -> list[float]:
@@ -557,7 +551,7 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     ``CB_CLEARING_RTOL`` c raises rather than returning a silently bad
     price.
     """
-    c = _check_capacity(c)
+    c = _check_nonneg("capacity", c)
     if c == 0.0:
         raise ValueError("contract-based clearing needs positive capacity")
     a, b = _covered_energy(scenario, c)
@@ -616,12 +610,11 @@ def buyer_payoff_cb(scenario: Scenario, v_i, q, pi: float):
     backstop purchases for the uncovered remainder.  Concave in q; its
     maximizer is the buyer's demand.  ``v_i`` broadcasts against ``q``.
     """
-    q_arr = np.asarray(q, dtype=float)
-    if np.any(q_arr < 0.0) or not np.all(np.isfinite(q_arr)):
-        raise ValueError("rented capacity must be finite and non-negative")
-    total = -pi * q_arr
+    v_i = _check_nonneg("premium", v_i)
+    q = _check_nonneg("rented capacity", q)
+    total = -_check_nonneg("price", pi) * q
     for period in scenario.periods:
-        emin, eshort = _expected_min_and_shortfall(period, q_arr)
+        emin, eshort = _expected_min_and_shortfall(period, q)
         total = total + period.weight * (v_i * emin
                                          - period.utility_price * eshort)
     return total if total.ndim else float(total)
@@ -782,7 +775,7 @@ def verify_ce(scenario: Scenario, mechanism: str, c: float, sample_count: int,
     on the units of loads or prices.
     """
     _check_mechanism(mechanism)
-    c = _check_capacity(c)
+    c = _check_nonneg("capacity", c)
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     if deviation_grid_size < 2:

@@ -69,7 +69,7 @@ def test_criterion_3_ordering_properties():
         slack = 1e-9 * max(1.0, c_prt)
         assert srt.capacity <= c_prt + slack
         assert c_prt == c_opt
-        if kind == "uniform" and flatness_fit(scn, srt.capacity).delta == 0.0:
+        if kind == "uniform" and flatness_fit(scn).delta == 0.0:
             flat_checked += 1
             assert c_prt <= solve_ne(scn, "cb").capacity + slack
     assert flat_checked >= 10
@@ -78,7 +78,7 @@ def test_criterion_3_ordering_properties():
 
 
 def test_criterion_4_asymptotic_slopes(desk):
-    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    coeffs = expansion_coefficients(desk)
     assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-6)
     assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-6)
     c0 = solve_ne(desk, "srt").capacity

@@ -9,18 +9,18 @@ from solarmkt import (DerivativeSingularError, ExpansionCoefficients,
                       GenerationDistribution, PeriodProfile,
                       PremiumDistribution, Scenario, expansion_coefficients,
                       flatness_fit, lambda_ratio, ordering_report, solve_ne)
-from conftest import DESK, random_scenario
+from conftest import DESK, desk_scenario, random_scenario
 
 
 # --------------------------------------------------------------------- slopes
 
 def test_prt_slope_desk_closed_form(desk):
-    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    coeffs = expansion_coefficients(desk)
     assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-9)
 
 
 def test_cb_slope_desk_closed_form(desk):
-    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    coeffs = expansion_coefficients(desk)
     assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-9)
 
 
@@ -30,7 +30,7 @@ def test_slopes_match_finite_differences(desk, eps):
     c0 = solve_ne(desk, "srt").capacity
     fd_prt = (solve_ne(desk.with_epsilon(eps), "prt").capacity - c0) / eps
     fd_cb = (solve_ne(desk.with_epsilon(eps), "cb").capacity - c0) / eps
-    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    coeffs = expansion_coefficients(desk)
     assert coeffs.prt_slope == pytest.approx(fd_prt, rel=5 * eps)
     assert coeffs.cb_slope == pytest.approx(fd_cb, rel=5 * eps)
 
@@ -50,8 +50,27 @@ def test_slopes_vanish_for_degenerate_premiums():
     c0 = solve_ne(scn, "srt").capacity
     for mechanism in ("prt", "cb", "opt"):
         assert solve_ne(scn, mechanism).capacity == pytest.approx(c0, rel=1e-12)
-    assert expansion_coefficients(scn, c0) == expansion_coefficients(
-        scn.with_epsilon(1.0), c0)
+    assert expansion_coefficients(scn) == expansion_coefficients(
+        scn.with_epsilon(1.0))
+
+
+@pytest.mark.parametrize("make", [
+    desk_scenario,
+    lambda: random_scenario(np.random.default_rng(3), 0.8, "tabulated", 2)],
+    ids=["desk", "tabulated"])
+def test_expansion_point_is_the_stored_srt_solve(make, search_calls):
+    # both read c0 off the scenario's own srt solve: one float search
+    # between them on a fresh scenario, none once srt is solved
+    fresh = make()
+    coeffs, flatness = expansion_coefficients(fresh), flatness_fit(fresh)
+    assert search_calls == {"float": 1}
+    assert coeffs.c0 == solve_ne(fresh, "srt").capacity
+    solved = make()
+    solve_ne(solved, "srt")
+    search_calls.clear()
+    assert expansion_coefficients(solved) == coeffs
+    assert flatness_fit(solved) == flatness
+    assert not search_calls
 
 
 def test_slopes_singular_without_boundary_density():
@@ -62,7 +81,7 @@ def test_slopes_singular_without_boundary_density():
                    premium=PremiumDistribution.uniform(0.3), pi0=0.2,
                    t_tilde=1.0)
     with pytest.raises(DerivativeSingularError):
-        expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
+        expansion_coefficients(scn)
 
 
 def test_slope_heterogeneous_zero_period_neutral(desk):
@@ -70,7 +89,7 @@ def test_slope_heterogeneous_zero_period_neutral(desk):
                           generation=GenerationDistribution.point_mass(0.0))
     doubled = Scenario(periods=desk.periods + (night,), premium=desk.premium,
                        pi0=desk.pi0, t_tilde=2.0)
-    coeffs = expansion_coefficients(doubled, solve_ne(doubled, "srt").capacity)
+    coeffs = expansion_coefficients(doubled)
     assert coeffs.prt_slope == pytest.approx(DESK["prt_slope"], abs=1e-9)
     assert coeffs.cb_slope == pytest.approx(DESK["cb_slope"], abs=1e-9)
 
@@ -130,12 +149,12 @@ def test_lambda_rejects_degenerate():
 # ----------------------------------------------------------------------- beta
 
 def test_beta_desk_closed_form(desk):
-    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    coeffs = expansion_coefficients(desk)
     assert coeffs.beta == pytest.approx(DESK["beta"], abs=1e-9)
 
 
 def test_beta_below_slope_gap(desk):
-    coeffs = expansion_coefficients(desk, solve_ne(desk, "srt").capacity)
+    coeffs = expansion_coefficients(desk)
     assert coeffs.cb_slope - coeffs.prt_slope >= coeffs.beta - 1e-12
 
 
@@ -145,7 +164,7 @@ def test_beta_positive_and_vanishing_with_premium_cap(desk):
         scn = Scenario(periods=desk.periods,
                        premium=PremiumDistribution.uniform(v_bar),
                        pi0=desk.pi0, t_tilde=1.0)
-        beta = expansion_coefficients(scn, solve_ne(scn, "srt").capacity).beta
+        beta = expansion_coefficients(scn).beta
         assert beta > 0.0
         if last is not None:
             assert beta < last
@@ -158,7 +177,7 @@ def test_slope_gap_dominates_beta_for_flat_densities():
     for _ in range(6):
         scn = random_scenario(rng, epsilon=0.3, gen_kind="uniform",
                               n_periods=1)
-        coeffs = expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
+        coeffs = expansion_coefficients(scn)
         assert coeffs.cb_slope - coeffs.prt_slope >= coeffs.beta - 1e-10
 
 
@@ -171,14 +190,14 @@ def test_expansion_coefficient_validation():
 # ------------------------------------------------------------------- flatness
 
 def test_flatness_uniform_density_is_exactly_flat(desk):
-    report = flatness_fit(desk, 2.0)
+    report = flatness_fit(desk)
     assert report.delta == 0.0
     assert report.r0 == (1.0,)
 
 
 def test_flatness_tabulated_grid_scan_oracle():
-    # the window (0, 0.5] ends on a grid node and the density is linear
-    # between nodes, so its band is that of the nodes inside
+    # the density is linear between grid nodes, so its band on the
+    # window (0, 1/c_srt] is that of the nodes inside and the window's end
     grid = np.linspace(0.0, 2.0, 513)
     dens = 0.4 + 0.1 * np.sin(grid * 3.0)
     gen = GenerationDistribution.from_density_grid(grid, dens, normalize=True)
@@ -186,9 +205,10 @@ def test_flatness_tabulated_grid_scan_oracle():
     scn = Scenario(periods=(period,),
                    premium=PremiumDistribution.uniform(0.2), pi0=0.05,
                    t_tilde=1.0)
-    c_srt = 2.0
-    report = flatness_fit(scn, c_srt)
-    vals = np.asarray(gen.pdf(grid[grid <= 1.0 / c_srt]))
+    c_srt = solve_ne(scn, "srt").capacity
+    report = flatness_fit(scn)
+    window = np.append(grid[grid < 1.0 / c_srt], 1.0 / c_srt)
+    vals = np.asarray(gen.pdf(window))
     oracle = (vals.max() - vals.min()) / (vals.max() + vals.min())
     assert report.delta == pytest.approx(oracle, rel=0.0, abs=1e-14)
     assert report.r0[0] == pytest.approx(0.5 * (vals.max() + vals.min()),
@@ -201,7 +221,7 @@ def test_flatness_excludes_point_mass_with_warning(desk, caplog):
     scn = Scenario(periods=desk.periods + (night,), premium=desk.premium,
                    pi0=desk.pi0, t_tilde=2.0)
     with caplog.at_level(logging.INFO):
-        report = flatness_fit(scn, 2.0)
+        report = flatness_fit(scn)
     assert report.r0[1] is None
     assert report.per_period_delta[1] is None
     assert report.delta == 0.0

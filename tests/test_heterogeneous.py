@@ -69,7 +69,7 @@ def test_orderings(hetero):
 
 
 def test_slopes_match_hand_values(hetero):
-    coeffs = expansion_coefficients(hetero, solve_ne(hetero, "srt").capacity)
+    coeffs = expansion_coefficients(hetero)
     assert coeffs.prt_slope == pytest.approx(0.6, abs=1e-9)
     assert coeffs.cb_slope == pytest.approx(0.9, abs=1e-9)
     assert coeffs.beta == pytest.approx(0.12, abs=1e-9)
@@ -81,7 +81,7 @@ def test_slopes_match_finite_differences(hetero, eps):
     scaled = two_period_scenario(epsilon=eps)
     fd_prt = (solve_ne(scaled, "prt").capacity - c0) / eps
     fd_cb = (solve_ne(scaled, "cb").capacity - c0) / eps
-    coeffs = expansion_coefficients(hetero, solve_ne(hetero, "srt").capacity)
+    coeffs = expansion_coefficients(hetero)
     assert coeffs.prt_slope == pytest.approx(fd_prt, rel=5 * eps)
     assert coeffs.cb_slope == pytest.approx(fd_cb, rel=5 * eps)
     # the per-period ratio sum (1.8) is firmly ruled out

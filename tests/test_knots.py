@@ -54,7 +54,7 @@ def test_massless_tabulated_cells_are_outside_the_knots():
 
     for x in (0.8, 0.9, 1.0, 5.0, np.inf):
         assert gen.partial_first_moment(x) == gen.mean
-    nodes, weights = gen.quad_nodes(0.0, np.inf)
+    nodes, weights = gen.quad_nodes(np.inf)
     assert float(weights @ nodes) == pytest.approx(gen.mean, rel=1e-14, abs=0.0)
 
     load = 1.0

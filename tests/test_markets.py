@@ -59,7 +59,7 @@ def test_clear_rt_rejects_bad_period(desk):
         clear_rt(desk, 0, "cb", 1.0, 0.5)
 
 
-#: One capacity, realization or premium argument of each call.
+#: One capacity, realization, premium or price argument of each call.
 INPUT_CALLS = {
     "clear_rt capacity": lambda s, x: clear_rt(s, 0, "prt", x, 0.5),
     "clear_rt realization": lambda s, x: clear_rt(s, 0, "prt", 1.0, x),
@@ -68,6 +68,13 @@ INPUT_CALLS = {
         lambda s, x: optimal_allocation(s, 0, 1.0, x),
     "cb_unit_value premium": lambda s, x: cb_unit_value(s, x, 1.0),
     "cb_unit_value capacity": lambda s, x: cb_unit_value(s, 0.3, x),
+    "buyer_payoff_cb premium": lambda s, x: buyer_payoff_cb(s, x, 1.0, 0.1),
+    "buyer_payoff_cb price": lambda s, x: buyer_payoff_cb(s, 0.3, 1.0, x),
+    "buyer_payoff_cb capacity": lambda s, x: buyer_payoff_cb(s, 0.3, x, 0.1),
+    "individual_demand_cb premium":
+        lambda s, x: individual_demand_cb(s, x, 0.5),
+    "individual_demand_cb price": lambda s, x: individual_demand_cb(s, 0.3, x),
+    "aggregate_demand_cb price": lambda s, x: aggregate_demand_cb(s, x),
 }
 
 

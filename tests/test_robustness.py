@@ -44,7 +44,7 @@ def test_extreme_scales_solve_cleanly(name):
         assert caps["prt"] == caps["opt"]
         assert caps["srt"] <= caps["prt"] * (1.0 + 1e-9)
         assert caps["prt"] <= caps["cb"] * (1.0 + 1e-9)
-        coeffs = expansion_coefficients(scn, solve_ne(scn, "srt").capacity)
+        coeffs = expansion_coefficients(scn)
         assert 0.0 < coeffs.lam < 1.0 and coeffs.beta >= 0.0
         assert welfare(scn, caps["prt"]) >= welfare(scn, 0.0)
         assert verify_ce(scn, "prt", caps["prt"], 100, 101, seed=2).passed
