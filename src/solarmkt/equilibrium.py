@@ -18,12 +18,12 @@ store.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .markets import (Scenario, _capacity_search, _cb_demands,
                       _check_mechanism, _check_nonneg, _rt_window_value,
-                      _scarcity_integral, aggregate_demand_cb, revenue_rt)
+                      _scarcity_integral, _scarcity_moments,
+                      aggregate_demand_cb, revenue_rt)
 
 __all__ = [
     "EquilibriumResult",
@@ -226,12 +226,10 @@ def welfare(scenario: Scenario, c: float) -> float:
         lambda period, value, g: period.load * value)
     total = 0.0
     for period in scenario.periods:
-        gen, load = period.generation, period.load
-        cut = load / c if c > 0.0 else math.inf
-        scarce = float(gen.cdf(cut))
+        scarce, energy = map(float, _scarcity_moments(period, c))
         # the abundance region collects the full mean premium
-        abundance_value = load * prem.mean * (1.0 - scarce)
-        shortfall = load * scarce - c * float(gen.partial_first_moment(cut))
+        abundance_value = period.load * prem.mean * (1.0 - scarce)
+        shortfall = period.load * scarce - c * energy
         total += period.weight * (abundance_value
                                   - period.utility_price * shortfall)
     return scenario.period_scale * (premium_value + total) - scenario.pi0 * c

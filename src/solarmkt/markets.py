@@ -164,18 +164,19 @@ def _check_mechanism(mechanism: str, allowed=MECHANISMS):
 
 def _check_nonneg(name: str, x):
     """x as a float, or as a float array if it has dimensions, once every
-    value is checked finite and non-negative.  A float is checked with no
-    numpy call: ``aggregate_demand_cb`` checks one in ``clear_cb``'s search."""
+    value is checked finite and non-negative, with -0.0 read as +0.0.  A
+    float is checked with no numpy call: ``aggregate_demand_cb`` checks
+    one in ``clear_cb``'s search."""
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
         if x.ndim:
             if not np.all(np.isfinite(x) & (x >= 0.0)):
                 raise ValueError(f"{name} must be finite and non-negative")
-            return x
+            return x + 0.0
         x = float(x)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError(f"{name} must be finite and non-negative, got {x}")
-    return x
+    return x + 0.0
 
 
 def _clear_rt_draws(scenario: Scenario, period: PeriodProfile,
@@ -240,7 +241,7 @@ def _covered_energy(scenario: Scenario, d):
     a = b = 0.0
     if isinstance(d, float):
         for period in scenario.periods:
-            cut = period.load / d if d else math.copysign(math.inf, d)
+            cut = period.load / d if d else math.inf
             mu = period.generation._partial_first_moment_float(cut)
             a = a + period.weight * period.utility_price * mu
             b = b + period.weight * mu
@@ -321,8 +322,6 @@ def unit_revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
 def revenue_rt(scenario: Scenario, mechanism: str, c: float) -> float:
     """Expected lifetime seller revenue at aggregate capacity c."""
     c = _check_nonneg("capacity", c)
-    if c == 0.0:
-        return 0.0
     return c * unit_revenue_rt(scenario, mechanism, c)
 
 
@@ -590,17 +589,16 @@ def clear_cb(scenario: Scenario, c: float) -> CbClearing:
     return CbClearing(price=price, seller_quantity=c, demand_residual=res)
 
 
-def _expected_min_and_shortfall(period: PeriodProfile, q):
-    """(E min(q G, L), E (L - q G)+) for an array of capacities q."""
-    gen, load = period.generation, period.load
-    q = np.asarray(q, dtype=float)
+def _scarcity_moments(period: PeriodProfile, q):
+    """(P(q G <= L), E[G; q G <= L]) at capacities q: the chance that
+    output falls short of the load, and the output counted then.  At
+    q = 0 every output falls short, and they are 1 and the mean exactly,
+    whatever a tabulated density's total mass rounds to."""
+    gen = period.generation
     with np.errstate(divide="ignore", over="ignore"):
-        cut = load / q  # infinite at q = 0, where m1 is the mean
-    m0 = np.where(np.isfinite(cut), gen.cdf(cut), 1.0)
-    m1 = gen.partial_first_moment(cut)
-    emin = q * m1 + load * (1.0 - m0)
-    eshort = load * m0 - q * m1
-    return emin, eshort
+        cut = period.load / np.asarray(q, dtype=float)
+    return (np.where(np.isfinite(cut), gen.cdf(cut), 1.0),
+            gen.partial_first_moment(cut))
 
 
 def buyer_payoff_cb(scenario: Scenario, v_i, q, pi: float):
@@ -614,7 +612,9 @@ def buyer_payoff_cb(scenario: Scenario, v_i, q, pi: float):
     q = _check_nonneg("rented capacity", q)
     total = -_check_nonneg("price", pi) * q
     for period in scenario.periods:
-        emin, eshort = _expected_min_and_shortfall(period, q)
+        scarce, energy = _scarcity_moments(period, q)
+        emin = q * energy + period.load * (1.0 - scarce)  # E min(q G, L)
+        eshort = period.load * scarce - q * energy  # E (L - q G)+
         total = total + period.weight * (v_i * emin
                                          - period.utility_price * eshort)
     return total if total.ndim else float(total)
@@ -651,10 +651,16 @@ class CeVerification:
     details: Mapping[str, float] = field(default_factory=dict)
 
 
+def _buyer_grid(scenario: Scenario, grid_size: int) -> np.ndarray:
+    """Premium quantiles at grid_size even levels of [0, 1], increasing."""
+    return np.sort(np.asarray(scenario.premium.quantile(
+        np.linspace(0.0, 1.0, grid_size)), dtype=float))
+
+
 def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
                price_perturbation):
-    """Deviation and clearing check of a real-time mechanism, one array
-    pass per period over its ``sample_count`` draws.
+    """Deviation gains and clearing violations of a real-time mechanism,
+    one array pass per period over its ``sample_count`` draws.
 
     A buyer's payoff (v - p) q - u (L - q) is affine in q, so its best
     point of the deviation grid linspace(0, L, grid_size) is an end
@@ -669,10 +675,8 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
     stands for all.
     """
     prem = scenario.premium
-    buyer_vs = np.sort(np.asarray(
-        prem.quantile(np.linspace(0.0, 1.0, grid_size)), dtype=float))
-    max_gain = 0.0
-    max_clear = 0.0
+    buyer_vs = _buyer_grid(scenario, grid_size)
+    gains, clears = [], []
     for period in scenario.periods:
         load, u = period.load, period.utility_price
         draws = period.generation.sample(rng, sample_count)
@@ -690,8 +694,7 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
             t, s = thr[limited], supply[limited]
             served_lo = load * prem.survival(t, weak=False)
             served_hi = load * prem.survival(t, weak=True)
-            clear = np.maximum(served_lo - s, s - served_hi) / load
-            max_clear = max(max_clear, float(clear.max(initial=0.0)))
+            clears.append(np.maximum(served_lo - s, s - served_hi) / load)
         # the grid's payoffs at q = 0 and at q = L
         dev_lo = -u * load
         dev_hi = (v - price) * load
@@ -699,9 +702,8 @@ def _verify_rt(scenario, mechanism, c, sample_count, grid_size, rng,
         buyer_gain = np.maximum(dev_lo, dev_hi) - held
         # sellers: payoff price * q on [0, supply]
         seller_gain = np.where(price > 0.0, price * supply, 0.0) - price * quantity
-        max_gain = max(max_gain, float(buyer_gain.max()) / (load * u),
-                       float(seller_gain.max()) / (load * u))
-    return max_gain, max_clear, {}
+        gains += [buyer_gain / (load * u), seller_gain / (load * u)]
+    return gains, clears, {}
 
 
 #: Payoffs within this fraction of the backstop bill of a buyer's best
@@ -710,11 +712,11 @@ CB_TIE_RTOL = 1e-12
 
 
 def _verify_cb(scenario, c, grid_size, price_perturbation):
-    prem = scenario.premium
+    """Buyers' deviation gains and the clearing violation of the contract
+    market; a seller holds all of c, its best point at a positive price."""
     clearing = clear_cb(scenario, c)
     price = clearing.price * (1.0 + price_perturbation)
-    p_grid = np.linspace(0.0, 1.0, grid_size)
-    buyer_vs = np.asarray(prem.quantile(p_grid), dtype=float)
+    buyer_vs = _buyer_grid(scenario, grid_size)
     assigned = _cb_demand_profile(scenario, buyer_vs, clearing.price)
     q_hi = 2.0 * max(float(assigned.max()), 1e-6 * scenario.capacity_scale)
     q_dev = np.linspace(0.0, q_hi, grid_size)
@@ -722,7 +724,6 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
     rental = buyer_payoff_cb(scenario, buyer_vs[:, None], q_dev, price)
     held = buyer_payoff_cb(scenario, buyer_vs, assigned, price)
     bill = sum(p.weight * p.load * p.utility_price for p in scenario.periods)
-    buyer_gain = float((rental.max(axis=1) - held).max()) / bill
     # The distance from each buyer's demand to its nearest best grid
     # point.  The payoff is concave in q, so the points that tie the first
     # maximizer j form an interval about it: only where a neighbour of j
@@ -738,17 +739,21 @@ def _verify_cb(scenario, c, grid_size, price_perturbation):
         gaps[flat] = np.where(rental[flat] >= near[flat, None],
                               np.abs(q_dev - assigned[flat, None]),
                               np.inf).min(axis=1)
-    argmax_gap = float(gaps.max())
-    # sellers: payoff price * q on [0, c], maximized at q = c
-    seller_gain = max(0.0, price * c - price * clearing.seller_quantity) / bill
     # clear_cb already measured the demand at its own price
     residual = (clearing.demand_residual if price_perturbation == 0.0
                 else aggregate_demand_cb(scenario, price) - c)
-    clear_violation = abs(residual) / c
     details = {"cb_price": clearing.price,
-               "cb_argmax_gap": argmax_gap,
+               "cb_argmax_gap": float(gaps.max()),
                "cb_grid_step": float(q_dev[1] - q_dev[0])}
-    return max(buyer_gain, seller_gain), clear_violation, details
+    return ([(rental.max(axis=1) - held) / bill], [abs(residual) / c],
+            details)
+
+
+def _floored_max(parts) -> float:
+    """The largest value in the arrays parts, at least 0.0; NaN if any
+    is NaN, so a corrupted gain fails rather than dropping out."""
+    top = float(np.max(np.concatenate([[0.0], *map(np.ravel, parts)])))
+    return top if not top <= 0.0 else 0.0  # +0.0 for -0.0
 
 
 def verify_ce(scenario: Scenario, mechanism: str, c: float, sample_count: int,
@@ -772,7 +777,8 @@ def verify_ce(scenario: Scenario, mechanism: str, c: float, sample_count: int,
     equilibria.  ``tolerance`` is relative: gains are measured against
     the backstop bill and clearing violations against the load or the
     capacity (see ``CeVerification``), so the verdict does not depend
-    on the units of loads or prices.
+    on the units of loads or prices.  Each of the two is the largest of
+    its raw values floored at 0 (``_floored_max``), so a NaN fails.
     """
     _check_mechanism(mechanism)
     c = _check_nonneg("capacity", c)
@@ -780,15 +786,18 @@ def verify_ce(scenario: Scenario, mechanism: str, c: float, sample_count: int,
         raise ValueError("sample_count must be at least 1")
     if deviation_grid_size < 2:
         raise ValueError("deviation_grid_size must be at least 2")
-    rng = np.random.default_rng(seed)
+    if not math.isfinite(price_perturbation):
+        raise ValueError("price_perturbation must be finite, "
+                         f"got {price_perturbation}")
+    tolerance = _check_nonneg("tolerance", tolerance)
     if mechanism == "cb":
-        gain, clear, details = _verify_cb(scenario, c, deviation_grid_size,
-                                          price_perturbation)
+        gains, clears, details = _verify_cb(scenario, c, deviation_grid_size,
+                                            price_perturbation)
     else:
-        gain, clear, details = _verify_rt(scenario, mechanism, c, sample_count,
-                                          deviation_grid_size, rng,
-                                          price_perturbation)
-    gain, clear = float(gain), float(clear)
+        gains, clears, details = _verify_rt(
+            scenario, mechanism, c, sample_count, deviation_grid_size,
+            np.random.default_rng(seed), price_perturbation)
+    gain, clear = _floored_max(gains), _floored_max(clears)
     return CeVerification(
         mechanism=mechanism, capacity=c, sample_count=sample_count,
         deviation_grid_size=deviation_grid_size, seed=seed,

@@ -65,61 +65,70 @@ class IrradiationRecord(NamedTuple):
     ghi: float
 
 
-def _column_index(header: list[str], columns) -> list[int]:
-    """Positions of the named columns; a repeated name means its last one."""
-    index = {name: at for at, name in enumerate(header)}
-    return [index[name] for name in columns]
+def _csv_columns(path: Path, columns) -> tuple[list[int], list[list]]:
+    """The line numbers of a CSV file's data rows, and the fields of each
+    named column on those rows, in the order named.
 
-
-def _data_rows(reader, width: int):
-    """The non-blank rows of a CSV reader, short ones padded with None.
-
-    These are csv.DictReader's rules: blank lines are skipped and a field
-    missing from a short row reads as None.
+    Both data files follow these rules, which are csv.DictReader's:
+    columns are found by header name in any order (a repeated name means
+    its last column), blank lines are skipped and a field missing from a
+    short row reads as None.  A file without a header row, or without
+    one of the columns, is an error.
     """
-    for row in reader:
-        if len(row) < width:
-            if not row:
-                continue
-            row += [None] * (width - len(row))
-        yield row
-
-
-def load_irradiation_csv(path) -> list[IrradiationRecord]:
-    """Parse an hourly irradiation CSV with header timestamp,ghi_w_per_m2.
-
-    Malformed rows raise with their line number; an empty file is legal
-    but logged as a warning.
-    """
-    path = Path(path)
-    records: list[IrradiationRecord] = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [c for c in IRRADIATION_COLUMNS if c not in header]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        stamp_at, ghi_at = _column_index(header, IRRADIATION_COLUMNS)
-        for row in _data_rows(reader, max(stamp_at, ghi_at) + 1):
-            line = reader.line_num
-            stamp = (row[stamp_at] or "").strip()
-            try:
-                # fromisoformat before 3.11 rejects the Zulu suffix
-                datetime.fromisoformat(stamp.replace("Z", "+00:00"))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: bad timestamp "
-                                 f"{stamp!r}: {exc}") from None
-            try:
-                ghi = float(row[ghi_at])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}: line {line}: unparseable irradiance "
-                                 f"{row[ghi_at]!r}") from None
-            if not math.isfinite(ghi) or ghi < 0.0:
-                raise ValueError(f"{path}: line {line}: irradiance must be "
-                                 f"finite and non-negative, got {ghi}")
-            records.append(IrradiationRecord(stamp, ghi))
+        lines, rows = [], []
+        for row in reader:
+            if row:
+                lines.append(reader.line_num)
+                rows.append(row)
+    index = {name: at for at, name in enumerate(header)}
+    return lines, [[row[i] if i < len(row) else None for row in rows]
+                   for i in map(index.get, columns)]
+
+
+def _nonneg_floats(path: Path, lines, fields, what: str) -> list[float]:
+    """A column's fields as finite, non-negative floats; the first bad
+    one raises with its line number."""
+    values = []
+    for line, text in zip(lines, fields):
+        try:
+            x = float(text)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: line {line}: unparseable {what} "
+                             f"{text!r}") from None
+        if not math.isfinite(x) or x < 0.0:
+            raise ValueError(f"{path}: line {line}: {what} must be finite "
+                             f"and non-negative, got {x}")
+        values.append(x)
+    return values
+
+
+def load_irradiation_csv(path) -> list[IrradiationRecord]:
+    """Parse an hourly irradiation CSV with header timestamp,ghi_w_per_m2.
+
+    Malformed rows raise with their line number, bad timestamps before
+    bad irradiance values; an empty file is legal but logged as a
+    warning.
+    """
+    path = Path(path)
+    lines, (stamps, ghis) = _csv_columns(path, IRRADIATION_COLUMNS)
+    stamps = [(stamp or "").strip() for stamp in stamps]
+    for line, stamp in zip(lines, stamps):
+        try:
+            # fromisoformat before 3.11 rejects the Zulu suffix
+            datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: bad timestamp "
+                             f"{stamp!r}: {exc}") from None
+    records = list(map(IrradiationRecord, stamps,
+                       _nonneg_floats(path, lines, ghis, "irradiance")))
     if not records:
         logger.warning("%s: no irradiation records", path)
     return records
@@ -211,25 +220,8 @@ def load_premium_survey(path, monthly_kwh: float,
     if inflation_factor <= 0.0:
         raise ValueError(f"inflation_factor must be positive, got {inflation_factor}")
     path = Path(path)
-    values = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or SURVEY_COLUMN not in header:
-            raise ValueError(f"{path}: expected a header with column "
-                             f"{SURVEY_COLUMN!r}")
-        (usd_at,) = _column_index(header, (SURVEY_COLUMN,))
-        for row in _data_rows(reader, usd_at + 1):
-            line = reader.line_num
-            try:
-                usd = float(row[usd_at])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}: line {line}: unparseable survey "
-                                 f"value {row[usd_at]!r}") from None
-            if not math.isfinite(usd) or usd < 0.0:
-                raise ValueError(f"{path}: line {line}: survey values must be "
-                                 f"finite and non-negative, got {usd}")
-            values.append(usd)
+    lines, (usd,) = _csv_columns(path, (SURVEY_COLUMN,))
+    values = _nonneg_floats(path, lines, usd, "survey value")
     if not values:
         raise ValueError(f"{path}: survey file holds no responses")
     return np.asarray(values, dtype=float) * inflation_factor / monthly_kwh

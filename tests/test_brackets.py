@@ -313,3 +313,23 @@ def test_clear_cb_at_scale_0_takes_two_evaluations(share):
     assert len(demands) <= 2
     assert clearing.price == pytest.approx(
         float(cb_unit_value(scn, 0.0, c)), rel=X_RTOL, abs=0.0)
+
+
+def test_clear_cb_reads_demand_at_its_untried_lower_end():
+    # At a tiny premium scale pi* is clamped to the top of the bracket
+    # [A(c), A(c) + eps v_bar B(c)], where demand falls short of c; the
+    # search then ends at A(c), the one end no try has measured, and
+    # clear_cb reads the demand there.
+    scn = desk_scenario(epsilon=1e-15)
+    c = 2.0 * solve_ne(scn, "cb").capacity
+    a, b = _covered_energy(scn, c)
+    top = a + scn.premium.epsilon * scn.premium.v_bar * b
+    calls = []
+    demand = markets.aggregate_demand_cb
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(markets, "aggregate_demand_cb",
+                      lambda s, pi: calls.append(pi) or demand(s, pi))
+        clearing = clear_cb(scn, c)
+    assert len(calls) == 2 and calls[1] == a
+    assert a <= clearing.price <= top
+    assert abs(clearing.demand_residual) <= markets.CB_CLEARING_RTOL * c

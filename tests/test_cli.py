@@ -283,6 +283,24 @@ def test_verify_without_a_positive_capacity_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mechanism", ["srt", "prt"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--perturb-price", "nan", "price_perturbation must be finite"),
+    ("--perturb-price", "inf", "price_perturbation must be finite"),
+    ("--tol", "nan", "tolerance must be finite and non-negative"),
+    ("--tol", "-1", "tolerance must be finite and non-negative")])
+def test_verify_rejects_a_bad_perturbation_or_tolerance(
+        desk_config, tmp_path, capsys, mechanism, flag, value, message):
+    # a NaN or infinite perturbation passed, and a NaN or negative
+    # tolerance failed an equilibrium that holds: both are input errors
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(desk_config), "--mechanism",
+                 mechanism, "--samples", "50", flag, value,
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- report
 
 def test_report_exits_1_when_a_hard_check_fails(desk_config, tmp_path,

@@ -1,15 +1,18 @@
 """Investment equilibria, the welfare benchmark, and their identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from solarmkt import (check_viability, optimal_allocation, solve_all,
-                      solve_ne, unit_revenue_rt, welfare,
+from solarmkt import (PeriodProfile, check_viability, optimal_allocation,
+                      solve_all, solve_ne, unit_revenue_rt, welfare,
                       zero_profit_residual)
 from solarmkt.equilibrium import SOLVE_MECHANISMS
 from solarmkt.numerics import sup_level_set
 from solarmkt.pipeline import load_scenario
-from conftest import DESK, desk_scenario, random_scenario
+from conftest import (DESK, desk_scenario, random_scenario,
+                      random_tabulated_generation)
 from test_acceptance import _write_california_fixtures
 from test_heterogeneous import two_period_scenario
 
@@ -130,6 +133,13 @@ def test_allocation_bounds(desk):
 def test_welfare_without_solar_is_pure_backstop_cost(desk):
     # no capacity: nothing allocated, the whole load buys backstop energy
     assert welfare(desk, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    # exactly so on tabulated output too: every output falls short of the
+    # load, so P(c G <= L) is 1, not this density's total mass, 1 - 6e-16
+    gen = random_tabulated_generation(np.random.default_rng(9))
+    assert float(gen.cdf(gen.support_hi)) != 1.0
+    scn = replace(desk_scenario(), periods=(
+        PeriodProfile(load=2.5, utility_price=0.8, generation=gen),))
+    assert welfare(scn, 0.0) == -scn.period_scale * (0.8 * 2.5)
 
 
 def test_welfare_concave_on_grid(desk):

@@ -11,7 +11,7 @@ from solarmkt import (GenerationDistribution, NoEquilibriumError,
                       aggregate_demand_cb, buyer_payoff_cb, cb_unit_value,
                       clear_cb, clear_rt, individual_demand_cb, markets,
                       optimal_allocation, revenue_rt, solve_ne,
-                      unit_revenue_rt, verify_ce)
+                      unit_revenue_rt, verify_ce, welfare)
 from conftest import (desk_scenario, random_scenario,
                       random_tabulated_generation)
 
@@ -85,6 +85,33 @@ def test_non_finite_and_negative_inputs_are_rejected(desk, call, bad):
         call(desk, bad)
 
 
+#: One capacity argument of each call that reads a capacity of 0 as no
+#: panels: the cut L / 0 is +inf, so every output counts as scarce.
+ZERO_CAPACITY_CALLS = {
+    "unit_revenue_rt srt": lambda s, x: unit_revenue_rt(s, "srt", x),
+    "unit_revenue_rt prt": lambda s, x: unit_revenue_rt(s, "prt", x),
+    "revenue_rt prt": lambda s, x: revenue_rt(s, "prt", x),
+    "cb_unit_value": lambda s, x: cb_unit_value(s, 0.3, x),
+    "cb_unit_value array": lambda s, x: cb_unit_value(s, 0.3, np.array([x])),
+    "buyer_payoff_cb": lambda s, x: buyer_payoff_cb(s, 0.3, x, 0.125),
+    "buyer_payoff_cb array":
+        lambda s, x: buyer_payoff_cb(s, 0.3, np.array([x, 1.0]), 0.125),
+    "welfare": lambda s, x: welfare(s, x),
+}
+
+
+@pytest.mark.parametrize("call", ZERO_CAPACITY_CALLS.values(),
+                         ids=ZERO_CAPACITY_CALLS.keys())
+def test_negative_zero_capacity_is_zero(desk, call):
+    # -0.0 passed the sign check, and its cut L / -0.0 was -inf: no
+    # output counted as scarce, so on desk a unit earned 0 in srt (0.5
+    # at +0.0) and a rented one 0 for premium 0.3 (0.65 at +0.0)
+    at_zero = np.asarray(call(desk, 0.0))
+    at_minus_zero = np.asarray(call(desk, -0.0))
+    assert np.array_equal(at_minus_zero, at_zero)
+    assert np.array_equal(np.signbit(at_minus_zero), np.signbit(at_zero))
+
+
 # ------------------------------------------------------------------- revenues
 
 def test_revenue_srt_desk_value(desk):
@@ -102,6 +129,9 @@ def test_revenue_prt_desk_value(desk):
 def test_revenue_zero_capacity_is_zero(desk):
     for mech in ("srt", "prt"):
         assert revenue_rt(desk, mech, 0.0) == 0.0
+    # the mechanism is checked before the capacity is read
+    with pytest.raises(ValueError, match="unknown mechanism"):
+        revenue_rt(desk, "nope", 0.0)
 
 
 def test_revenue_prt_dominates_srt():
@@ -335,10 +365,13 @@ def test_verify_prt_at_table_outcomes(desk):
 
 def test_verify_srt_buyers_tie_everywhere(desk):
     # pooled-market buyers have flat payoffs under scarcity, so every
-    # deviation ties and the max gain is exactly zero
-    report = verify_ce(desk, "srt", 2.0, 500, 201, seed=5)
-    assert report.max_deviation_gain == 0.0
-    assert report.passed
+    # deviation ties and the max gain is exactly zero; so do prt buyers
+    # at premium scale 0, where every type values solar at 0
+    for scn, mechanism in ((desk, "srt"), (desk_scenario(0.0), "prt")):
+        report = verify_ce(scn, mechanism, 2.0, 500, 201, seed=5)
+        assert report.max_deviation_gain == 0.0
+        assert report.max_clearing_violation == 0.0
+        assert report.passed
 
 
 def test_verify_cb_buyers_argmax_at_demand(desk):
@@ -394,8 +427,34 @@ def test_verify_cb_reads_the_clearing_residual(desk, monkeypatch,
         assert not report.passed
 
 
+@pytest.mark.parametrize("mechanism", ["srt", "prt"])
+def test_a_nan_price_fails_verification(desk, monkeypatch, mechanism):
+    # the running maximum that floored the gains at 0.0 dropped a NaN
+    draws = markets._clear_rt_draws
+
+    def corrupted(*args):
+        abundant, price, quantity, served, thr = draws(*args)
+        price = np.where(abundant, price, np.nan)
+        return abundant, price, quantity, served, thr
+
+    monkeypatch.setattr(markets, "_clear_rt_draws", corrupted)
+    report = verify_ce(desk, mechanism, 2.0, 50, seed=1)
+    assert math.isnan(report.max_deviation_gain)
+    assert not report.passed
+
+
 def test_verify_input_validation(desk):
     with pytest.raises(ValueError):
         verify_ce(desk, "prt", 2.0, 0)
     with pytest.raises(ValueError):
         verify_ce(desk, "nope", 2.0, 10)
+    # a NaN or infinite perturbation gave a pass, and a NaN or negative
+    # tolerance a FAIL of an equilibrium that holds
+    for mechanism in ("srt", "prt", "cb"):
+        for name, bad in (("price_perturbation", math.nan),
+                          ("price_perturbation", math.inf),
+                          ("price_perturbation", -math.inf),
+                          ("tolerance", math.nan), ("tolerance", -1.0),
+                          ("tolerance", math.inf)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                verify_ce(desk, mechanism, 2.0, 10, **{name: bad})

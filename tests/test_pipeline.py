@@ -306,6 +306,16 @@ def test_survey_rejects_negative(tmp_path):
         load_premium_survey(path, monthly_kwh=600.0)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file, expected a header row"),
+    ("usd\n6.0\n", "missing columns \\['usd_per_month'\\]")])
+def test_survey_header_errors_are_the_irradiation_files(tmp_path, text,
+                                                        message):
+    path = _write(tmp_path, "s.csv", text)
+    with pytest.raises(ValueError, match=message):
+        load_premium_survey(path, monthly_kwh=600.0)
+
+
 def test_survey_empty_is_an_error(tmp_path):
     path = _write(tmp_path, "s.csv", "usd_per_month\n")
     with pytest.raises(ValueError, match="no responses"):

@@ -84,7 +84,10 @@ def rt_cases(draw):
         samples = rng.gamma(rng.uniform(0.5, 3.0), 0.2,
                             int(rng.integers(2, 200)))
         prem = PremiumDistribution.empirical(samples)
-    scn = replace(scn, premium=prem)
+    # scale 0 is the market without premiums: every buyer type values
+    # solar at 0, and clearing reads the premium survival's scale-0 case
+    epsilon = draw(st.sampled_from([1.0, 0.0]))
+    scn = replace(scn, premium=prem.with_epsilon(epsilon))
     mechanism = draw(st.sampled_from(["srt", "prt"]))
     capacity = solve_ne(scn, mechanism).capacity
     capacity *= draw(st.sampled_from([1.0, 0.5, 1.7]))
