@@ -18,6 +18,8 @@ import logging
 import math
 from contextlib import contextmanager
 from datetime import datetime
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .distributions import (GenerationDistribution, PeriodProfile,
                             PremiumDistribution)
-from .markets import Scenario
+from .markets import Scenario, _check_nonneg
 from .numerics import sup_level_set
 
 __all__ = [
@@ -83,21 +85,36 @@ def _csv_columns(path: Path, columns) -> tuple[list[int], list[list]]:
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        lines, rows = [], []
-        for row in reader:
-            if row:
-                lines.append(reader.line_num)
-                rows.append(row)
+        start = reader.line_num
+        rows = list(reader)
+        if reader.line_num - start == len(rows):  # one line per row
+            lines = list(compress(range(start + 1, reader.line_num + 1), rows))
+        else:  # a quoted field spans lines: count them row by row
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            lines = [reader.line_num for row in reader if row]
+    rows = list(filter(None, rows))
     index = {name: at for at, name in enumerate(header)}
-    return lines, [[row[i] if i < len(row) else None for row in rows]
-                   for i in map(index.get, columns)]
+    at = list(map(index.get, columns))
+    try:
+        return lines, [list(map(itemgetter(i), rows)) for i in at]
+    except IndexError:  # a short row
+        return lines, [[row[i] if i < len(row) else None for row in rows]
+                       for i in at]
 
 
-def _nonneg_floats(path: Path, lines, fields, what: str) -> list[float]:
-    """A column's fields as finite, non-negative floats; the first bad
-    one raises with its line number."""
-    values = []
-    for line, text in zip(lines, fields):
+def _nonneg_floats(path: Path, lines, fields, what: str) -> np.ndarray:
+    """A column's fields as an array of finite, non-negative floats; the
+    first bad one raises with its line number."""
+    try:
+        values = np.fromiter(map(float, fields), dtype=float,
+                             count=len(fields))
+        if np.all(values >= 0.0) and np.all(values < math.inf):
+            return values
+    except (TypeError, ValueError):
+        pass
+    for line, text in zip(lines, fields):  # name the first bad field
         try:
             x = float(text)
         except (TypeError, ValueError):
@@ -106,8 +123,28 @@ def _nonneg_floats(path: Path, lines, fields, what: str) -> list[float]:
         if not math.isfinite(x) or x < 0.0:
             raise ValueError(f"{path}: line {line}: {what} must be finite "
                              f"and non-negative, got {x}")
-        values.append(x)
-    return values
+
+
+def _irradiation_columns(path: Path) -> tuple[list[str], np.ndarray]:
+    """The stripped timestamps and the irradiance array of an irradiation
+    CSV, checked; see load_irradiation_csv."""
+    lines, (stamps, ghis) = _csv_columns(path, IRRADIATION_COLUMNS)
+    stamps = [(stamp or "").strip() for stamp in stamps]
+    # fromisoformat before 3.11 rejects the Zulu suffix
+    zulu = [stamp.replace("Z", "+00:00") for stamp in stamps]
+    try:
+        list(map(datetime.fromisoformat, zulu))
+    except ValueError:
+        for line, stamp, text in zip(lines, stamps, zulu):
+            try:
+                datetime.fromisoformat(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: bad timestamp "
+                                 f"{stamp!r}: {exc}") from None
+    ghi = _nonneg_floats(path, lines, ghis, "irradiance")
+    if not stamps:
+        logger.warning("%s: no irradiation records", path)
+    return stamps, ghi
 
 
 def load_irradiation_csv(path) -> list[IrradiationRecord]:
@@ -117,21 +154,19 @@ def load_irradiation_csv(path) -> list[IrradiationRecord]:
     bad irradiance values; an empty file is legal but logged as a
     warning.
     """
-    path = Path(path)
-    lines, (stamps, ghis) = _csv_columns(path, IRRADIATION_COLUMNS)
-    stamps = [(stamp or "").strip() for stamp in stamps]
-    for line, stamp in zip(lines, stamps):
-        try:
-            # fromisoformat before 3.11 rejects the Zulu suffix
-            datetime.fromisoformat(stamp.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line}: bad timestamp "
-                             f"{stamp!r}: {exc}") from None
-    records = list(map(IrradiationRecord, stamps,
-                       _nonneg_floats(path, lines, ghis, "irradiance")))
-    if not records:
-        logger.warning("%s: no irradiation records", path)
-    return records
+    stamps, ghi = _irradiation_columns(Path(path))
+    return list(map(IrradiationRecord, stamps, ghi.tolist()))
+
+
+def _split_day_night(ghi, efficiency: float, night_threshold: float):
+    """prepare_generation_samples on a sequence of irradiance values."""
+    if not 0.0 < efficiency <= 1.0:
+        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
+    night_threshold = _check_nonneg("night threshold", night_threshold)
+    effective = np.asarray(ghi, dtype=float) * efficiency
+    day = effective[effective > night_threshold]
+    night_weight = int(effective.size - day.size)
+    return day, int(day.size), night_weight
 
 
 def prepare_generation_samples(records, efficiency: float,
@@ -143,14 +178,8 @@ def prepare_generation_samples(records, efficiency: float,
     (day_samples, day_weight, night_weight) with weights as record
     counts.
     """
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
-    if night_threshold < 0.0:
-        raise ValueError(f"night threshold must be non-negative, got {night_threshold}")
-    effective = np.array([r.ghi for r in records], dtype=float) * efficiency
-    day = effective[effective > night_threshold]
-    night_weight = int(effective.size - day.size)
-    return day, int(day.size), night_weight
+    return _split_day_night([r.ghi for r in records], efficiency,
+                            night_threshold)
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -159,6 +188,26 @@ def _silverman_bandwidth(samples: np.ndarray) -> float:
     iqr = float(q75 - q25)
     spread = min(std, iqr / 1.34) if iqr > 0.0 else std
     return 0.9 * spread * samples.size ** (-0.2)
+
+
+def _kde_inputs(samples, bandwidth) -> tuple[np.ndarray, float]:
+    """The samples and bandwidth of fit_generation_kde, checked: a given
+    bandwidth must be positive and finite, and Silverman's, the default,
+    is not when the sample has no spread."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 2:
+        raise ValueError("KDE fit needs at least 2 samples")
+    if not np.all(np.isfinite(samples)) or np.any(samples < 0.0):
+        raise ValueError("samples must be finite and non-negative")
+    if bandwidth is None:
+        bandwidth = _silverman_bandwidth(samples)
+        if not 0.0 < bandwidth < math.inf:
+            raise ValueError(
+                "degenerate sample (zero spread); cannot fit a KDE")
+    elif not 0.0 < bandwidth < math.inf:
+        raise ValueError(
+            f"bandwidth must be positive and finite, got {bandwidth}")
+    return samples, bandwidth
 
 
 def fit_generation_kde(samples, bandwidth: float | None = None,
@@ -170,15 +219,7 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
     renormalized, so mass the kernels would leak below zero is folded
     back instead of lost.  Bandwidth defaults to Silverman's rule.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("KDE fit needs at least 2 samples")
-    if not np.all(np.isfinite(samples)) or np.any(samples < 0.0):
-        raise ValueError("samples must be finite and non-negative")
-    if bandwidth is None:
-        bandwidth = _silverman_bandwidth(samples)
-    if not math.isfinite(bandwidth) or bandwidth <= 0.0:
-        raise ValueError("degenerate sample (zero spread); cannot fit a KDE")
+    samples, bandwidth = _kde_inputs(samples, bandwidth)
     hi = float(samples.max()) * 1.1
     if hi <= 0.0:
         raise ValueError("all samples are zero; use a point mass instead")
@@ -215,16 +256,16 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
 def load_premium_survey(path, monthly_kwh: float,
                         inflation_factor: float = 1.0) -> np.ndarray:
     """Convert monthly willingness-to-pay dollars into $/kWh premiums."""
-    if monthly_kwh <= 0.0:
-        raise ValueError(f"monthly_kwh must be positive, got {monthly_kwh}")
-    if inflation_factor <= 0.0:
-        raise ValueError(f"inflation_factor must be positive, got {inflation_factor}")
+    for name, value in (("monthly_kwh", monthly_kwh),
+                        ("inflation_factor", inflation_factor)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     path = Path(path)
     lines, (usd,) = _csv_columns(path, (SURVEY_COLUMN,))
     values = _nonneg_floats(path, lines, usd, "survey value")
-    if not values:
+    if not values.size:
         raise ValueError(f"{path}: survey file holds no responses")
-    return np.asarray(values, dtype=float) * inflation_factor / monthly_kwh
+    return values * inflation_factor / monthly_kwh
 
 
 def fit_truncated_exponential(samples) -> PremiumDistribution:
@@ -316,16 +357,18 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
             threshold = spec.get("night_threshold", 0.1)
             conversion = spec.get("irradiance_to_energy",
                                   DEFAULT_IRRADIANCE_TO_ENERGY)
-            records = load_irradiation_csv(path)
-            day, day_weight, night_weight = prepare_generation_samples(
-                records, efficiency, threshold)
+            if not 0.0 < conversion < math.inf:
+                raise ValueError("irradiance_to_energy must be positive and "
+                                 f"finite, got {conversion}")
+            _, ghi = _irradiation_columns(path)
+            day, day_weight, night_weight = _split_day_night(
+                ghi, efficiency, threshold)
             if day.size < 2:
                 raise ScenarioConfigError(
                     f"{key}: {path} yields fewer than 2 daytime samples")
-            samples = day * conversion
-            bandwidth = spec.get("bandwidth")
-            if bandwidth is None:  # the fit's default, computed once
-                bandwidth = _silverman_bandwidth(samples)
+            # the fit's default bandwidth, computed once for the provenance
+            samples, bandwidth = _kde_inputs(day * conversion,
+                                             spec.get("bandwidth"))
             grid_size = spec.get("grid_size", DEFAULT_KDE_GRID_SIZE)
             fitted = fit_generation_kde(samples, bandwidth=bandwidth,
                                         grid_size=grid_size)

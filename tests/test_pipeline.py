@@ -189,6 +189,15 @@ def test_prepare_samples_validates_efficiency():
                                    night_threshold=-1.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_prepare_samples_rejects_a_threshold_that_is_not_finite(threshold):
+    # NaN and inf would count every hour as night and blame the data
+    with pytest.raises(ValueError, match="night threshold must be finite "
+                       f"and non-negative, got {threshold}"):
+        prepare_generation_samples(_records(500.0, 300.0), efficiency=0.2,
+                                   night_threshold=threshold)
+
+
 # ----------------------------------------------------------------------- KDE fit
 
 def test_kde_two_samples_direct_evaluation_oracle():
@@ -237,6 +246,16 @@ def test_kde_rejects_degenerate_samples():
         fit_generation_kde([2.0, 2.0, 2.0])
     with pytest.raises(ValueError):
         fit_generation_kde([1.0])
+
+
+@pytest.mark.parametrize("bandwidth", [math.nan, -0.01, 0.0, math.inf])
+def test_kde_names_a_bad_bandwidth_it_was_given(bandwidth):
+    with pytest.raises(ValueError, match="^bandwidth must be positive and "
+                       f"finite, got {bandwidth}$"):
+        fit_generation_kde([1.0, 3.0], bandwidth=bandwidth)
+    # Silverman's bandwidth of a sample without spread is the sample's fault
+    with pytest.raises(ValueError, match="^degenerate sample"):
+        fit_generation_kde([2.0, 2.0, 2.0])
 
 
 def _broadcast_kde(samples, bandwidth, grid_size):
@@ -320,6 +339,18 @@ def test_survey_empty_is_an_error(tmp_path):
     path = _write(tmp_path, "s.csv", "usd_per_month\n")
     with pytest.raises(ValueError, match="no responses"):
         load_premium_survey(path, monthly_kwh=600.0)
+
+
+@pytest.mark.parametrize("setting", ["monthly_kwh", "inflation_factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_survey_rejects_settings_that_are_not_positive_and_finite(
+        tmp_path, setting, value):
+    path = _write(tmp_path, "s.csv", "usd_per_month\n6.0\n12.0\n")
+    settings = dict(monthly_kwh=600.0, inflation_factor=1.83)
+    settings[setting] = value
+    with pytest.raises(ValueError, match=f"^{setting} must be positive and "
+                       f"finite, got {value}$"):
+        load_premium_survey(path, **settings)
 
 
 # --------------------------------------------------------- truncated exponential
@@ -562,3 +593,60 @@ def test_wrong_json_types_are_config_errors(tmp_path, capsys, keys, value,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}")
     assert "Traceback" not in err
+
+
+# A setting the model cannot use is named as the setting through a config,
+# before any data file is blamed for it.
+
+def _data_file_config(tmp_path):
+    ghi = np.random.default_rng(6).uniform(100.0, 900.0, 48)
+    _write(tmp_path, "irr.csv", "timestamp,ghi_w_per_m2\n" + "".join(
+        f"2021-01-01T{i % 24:02d}:00:00,{v:.2f}\n" for i, v in enumerate(ghi)))
+    _write(tmp_path, "survey.csv", "usd_per_month\n1.0\n2.0\n3.0\n30.0\n")
+    return dict(DESK_CONFIG, premium={"kind": "survey_file",
+                                      "path": "survey.csv"}, periods=[
+        {"load_gwh": 1.0, "utility_price_usd_per_kwh": 1.0,
+         "generation": {"kind": "data_file", "path": "irr.csv"}}])
+
+
+BAD_SETTINGS = [
+    ("premium", "monthly_kwh", math.nan, "premium: monthly_kwh must be "
+     "positive and finite, got nan"),
+    ("premium", "inflation_factor", math.inf, "premium: inflation_factor "
+     "must be positive and finite, got inf"),
+    *[("generation", "night_threshold", value, "periods[0].generation: "
+       f"night threshold must be finite and non-negative, got {value}")
+      for value in (math.nan, math.inf)],
+    *[("generation", "irradiance_to_energy", value, "periods[0].generation: "
+       f"irradiance_to_energy must be positive and finite, got {value}")
+      for value in (math.nan, -1.0, 0.0, math.inf)],
+    *[("generation", "bandwidth", value, "periods[0].generation: "
+       f"bandwidth must be positive and finite, got {value}")
+      for value in (math.nan, -0.01, 0.0, math.inf)],
+]
+
+
+@pytest.mark.parametrize("section, setting, value, message", BAD_SETTINGS,
+                         ids=[f"{k}={v}" for _, k, v, _ in BAD_SETTINGS])
+def test_config_names_a_bad_data_file_setting(tmp_path, section, setting,
+                                              value, message):
+    config = _data_file_config(tmp_path)
+    if section == "premium":
+        config["premium"][setting] = value
+    else:
+        config["periods"][0]["generation"][setting] = value
+    path = _write(tmp_path, "bad.json", json.dumps(config))  # writes NaN
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value) == message
+
+
+def test_config_keeps_the_degenerate_sample_message(tmp_path):
+    config = _data_file_config(tmp_path)
+    # two equal hours: their mean is exact, so Silverman's spread is 0
+    _write(tmp_path, "irr.csv", "timestamp,ghi_w_per_m2\n"
+           "2021-01-01T11:00:00,500.0\n2021-01-01T12:00:00,500.0\n")
+    path = _write(tmp_path, "flat.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError, match="^periods\\[0\\].generation: "
+                       "degenerate sample \\(zero spread\\); cannot fit a KDE$"):
+        load_scenario(path)
