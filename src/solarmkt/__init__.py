@@ -14,10 +14,10 @@ from .markets import (CbClearing, CeVerification, ClearingOutcome, Scenario,
                       clear_cb, clear_rt, individual_demand_cb, revenue_rt,
                       unit_revenue_rt, verify_ce)
 from .numerics import ConvergenceError, NoEquilibriumError
-from .pipeline import (IrradiationRecord, ScenarioConfigError,
-                       fit_generation_kde, fit_truncated_exponential,
-                       load_irradiation_csv, load_premium_survey,
-                       load_scenario, prepare_generation_samples)
+from .pipeline import (ScenarioConfigError, fit_generation_kde,
+                       fit_truncated_exponential, load_irradiation_csv,
+                       load_premium_survey, load_scenario,
+                       prepare_generation_samples)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "lambda_ratio", "flatness_fit", "expansion_coefficients",
     "ordering_report",
     "DerivativeSingularError", "ConvergenceError", "NoEquilibriumError",
-    "IrradiationRecord", "ScenarioConfigError", "load_irradiation_csv",
+    "ScenarioConfigError", "load_irradiation_csv",
     "prepare_generation_samples", "fit_generation_kde", "load_premium_survey",
     "fit_truncated_exponential", "load_scenario",
 ]

@@ -1,13 +1,16 @@
 """Ingestion of irradiation and premium-survey data, model fits, configs.
 
 The irradiation path goes: hourly global horizontal irradiance (W/m^2)
--> efficiency scaling -> day/night split at a small threshold -> unit
-conversion into per-unit-capacity energy -> Gaussian KDE with boundary
-reflection at zero, tabulated on a uniform grid.  The premium path
-converts monthly willingness-to-pay dollars into $/kWh and fits a
-truncated exponential by maximum likelihood.  ``load_scenario`` glues
-fitted and analytic models into a full Scenario from one JSON document
-(schema in the README).
+as an array (``load_irradiation_csv``) -> efficiency scaling and a
+day/night split at a small threshold (``prepare_generation_samples``)
+-> unit conversion into per-unit-capacity energy -> Gaussian KDE with
+boundary reflection at zero, tabulated on a uniform grid
+(``fit_generation_kde``).  The premium path converts monthly
+willingness-to-pay dollars into $/kWh (``load_premium_survey``) and
+fits a truncated exponential by maximum likelihood
+(``fit_truncated_exponential``).  ``load_scenario`` runs these same
+functions on a JSON document's data files and glues the fitted and
+analytic models into a full Scenario (schema in the README).
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ import logging
 import math
 from contextlib import contextmanager
 from datetime import datetime
-from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .markets import Scenario, _check_nonneg
 from .numerics import sup_level_set
 
 __all__ = [
-    "IrradiationRecord",
     "ScenarioConfigError",
     "load_irradiation_csv",
     "prepare_generation_samples",
@@ -52,6 +52,9 @@ DEFAULT_IRRADIANCE_TO_ENERGY = 1.0e-3
 
 DEFAULT_KDE_GRID_SIZE = 1024
 
+#: Effective irradiance (W/m^2) at or below which an hour counts as night.
+DEFAULT_NIGHT_THRESHOLD = 0.1
+
 # The KDE sums its kernels in (rows x samples) tiles of at most
 # 32 x 4096 values, 1 MiB each, to keep its working set in cache.
 _KDE_TILE_ROWS = 32
@@ -62,14 +65,14 @@ class ScenarioConfigError(ValueError):
     """A scenario config is malformed or references missing data."""
 
 
-class IrradiationRecord(NamedTuple):
-    timestamp: str
-    ghi: float
+def _open_csv(path: Path):
+    # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export
+    return path.open(newline="", encoding="utf-8-sig")
 
 
-def _csv_columns(path: Path, columns) -> tuple[list[int], list[list]]:
-    """The line numbers of a CSV file's data rows, and the fields of each
-    named column on those rows, in the order named.
+def _csv_columns(path: Path, columns) -> list[list]:
+    """The fields of each named column on a CSV file's data rows, in the
+    order named.
 
     Both data files follow these rules, which are csv.DictReader's:
     columns are found by header name in any order (a repeated name means
@@ -77,7 +80,7 @@ def _csv_columns(path: Path, columns) -> tuple[list[int], list[list]]:
     short row reads as None.  A file without a header row, or without
     one of the columns, is an error.
     """
-    with path.open(newline="", encoding="utf-8") as handle:
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -85,26 +88,26 @@ def _csv_columns(path: Path, columns) -> tuple[list[int], list[list]]:
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        start = reader.line_num
-        rows = list(reader)
-        if reader.line_num - start == len(rows):  # one line per row
-            lines = list(compress(range(start + 1, reader.line_num + 1), rows))
-        else:  # a quoted field spans lines: count them row by row
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            lines = [reader.line_num for row in reader if row]
-    rows = list(filter(None, rows))
+        rows = list(filter(None, reader))
     index = {name: at for at, name in enumerate(header)}
     at = list(map(index.get, columns))
     try:
-        return lines, [list(map(itemgetter(i), rows)) for i in at]
+        return [list(map(itemgetter(i), rows)) for i in at]
     except IndexError:  # a short row
-        return lines, [[row[i] if i < len(row) else None for row in rows]
-                       for i in at]
+        return [[row[i] if i < len(row) else None for row in rows]
+                for i in at]
 
 
-def _nonneg_floats(path: Path, lines, fields, what: str) -> np.ndarray:
+def _data_lines(path: Path) -> list[int]:
+    """The line each data row of a CSV file ends on, for error messages;
+    a quoted field can span lines, so rows and lines can differ."""
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [reader.line_num for row in reader if row]
+
+
+def _nonneg_floats(path: Path, fields, what: str) -> np.ndarray:
     """A column's fields as an array of finite, non-negative floats; the
     first bad one raises with its line number."""
     try:
@@ -114,7 +117,8 @@ def _nonneg_floats(path: Path, lines, fields, what: str) -> np.ndarray:
             return values
     except (TypeError, ValueError):
         pass
-    for line, text in zip(lines, fields):  # name the first bad field
+    # name the first bad field
+    for line, text in zip(_data_lines(path), fields):
         try:
             x = float(text)
         except (TypeError, ValueError):
@@ -125,41 +129,44 @@ def _nonneg_floats(path: Path, lines, fields, what: str) -> np.ndarray:
                              f"and non-negative, got {x}")
 
 
-def _irradiation_columns(path: Path) -> tuple[list[str], np.ndarray]:
-    """The stripped timestamps and the irradiance array of an irradiation
-    CSV, checked; see load_irradiation_csv."""
-    lines, (stamps, ghis) = _csv_columns(path, IRRADIATION_COLUMNS)
+def load_irradiation_csv(path) -> np.ndarray:
+    """The irradiance column of an hourly CSV with header
+    timestamp,ghi_w_per_m2, as a float64 array in W/m^2.
+
+    Every timestamp must parse as ISO 8601; it is checked and not kept.
+    Malformed rows raise with their line number, bad timestamps before
+    bad irradiance values; an empty file is legal but logged as a
+    warning.
+    """
+    path = Path(path)
+    stamps, ghis = _csv_columns(path, IRRADIATION_COLUMNS)
     stamps = [(stamp or "").strip() for stamp in stamps]
     # fromisoformat before 3.11 rejects the Zulu suffix
     zulu = [stamp.replace("Z", "+00:00") for stamp in stamps]
     try:
         list(map(datetime.fromisoformat, zulu))
     except ValueError:
-        for line, stamp, text in zip(lines, stamps, zulu):
+        for line, stamp, text in zip(_data_lines(path), stamps, zulu):
             try:
                 datetime.fromisoformat(text)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line}: bad timestamp "
                                  f"{stamp!r}: {exc}") from None
-    ghi = _nonneg_floats(path, lines, ghis, "irradiance")
-    if not stamps:
+    ghi = _nonneg_floats(path, ghis, "irradiance")
+    if not ghi.size:
         logger.warning("%s: no irradiation records", path)
-    return stamps, ghi
+    return ghi
 
 
-def load_irradiation_csv(path) -> list[IrradiationRecord]:
-    """Parse an hourly irradiation CSV with header timestamp,ghi_w_per_m2.
+def prepare_generation_samples(
+        ghi, efficiency: float,
+        night_threshold: float = DEFAULT_NIGHT_THRESHOLD):
+    """Scale irradiance by panel efficiency and split day from night hours.
 
-    Malformed rows raise with their line number, bad timestamps before
-    bad irradiance values; an empty file is legal but logged as a
-    warning.
+    Hours whose effective irradiance is at or below the threshold count
+    into the night weight; the rest become the day sample.  Returns
+    (day_samples, day_weight, night_weight) with weights as hour counts.
     """
-    stamps, ghi = _irradiation_columns(Path(path))
-    return list(map(IrradiationRecord, stamps, ghi.tolist()))
-
-
-def _split_day_night(ghi, efficiency: float, night_threshold: float):
-    """prepare_generation_samples on a sequence of irradiance values."""
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
     night_threshold = _check_nonneg("night threshold", night_threshold)
@@ -167,19 +174,6 @@ def _split_day_night(ghi, efficiency: float, night_threshold: float):
     day = effective[effective > night_threshold]
     night_weight = int(effective.size - day.size)
     return day, int(day.size), night_weight
-
-
-def prepare_generation_samples(records, efficiency: float,
-                               night_threshold: float = 0.1):
-    """Scale irradiance by panel efficiency and split day from night hours.
-
-    Hours whose effective irradiance is at or below the threshold count
-    into the night weight; the rest become the day sample.  Returns
-    (day_samples, day_weight, night_weight) with weights as record
-    counts.
-    """
-    return _split_day_night([r.ghi for r in records], efficiency,
-                            night_threshold)
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -217,8 +211,12 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
 
     The density is tabulated on a uniform grid over [0, 1.1 * max] and
     renormalized, so mass the kernels would leak below zero is folded
-    back instead of lost.  Bandwidth defaults to Silverman's rule.
+    back instead of lost.  Bandwidth defaults to Silverman's rule; the
+    grid size must be an int (not a bool) of at least 2.
     """
+    if type(grid_size) is not int or grid_size < 2:
+        raise ValueError("grid_size must be an integer of at least 2, "
+                         f"got {grid_size!r}")
     samples, bandwidth = _kde_inputs(samples, bandwidth)
     hi = float(samples.max()) * 1.1
     if hi <= 0.0:
@@ -261,8 +259,8 @@ def load_premium_survey(path, monthly_kwh: float,
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     path = Path(path)
-    lines, (usd,) = _csv_columns(path, (SURVEY_COLUMN,))
-    values = _nonneg_floats(path, lines, usd, "survey value")
+    (usd,) = _csv_columns(path, (SURVEY_COLUMN,))
+    values = _nonneg_floats(path, usd, "survey value")
     if not values.size:
         raise ValueError(f"{path}: survey file holds no responses")
     return values * inflation_factor / monthly_kwh
@@ -354,15 +352,14 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
         if kind == "data_file":
             path = _resolve(spec["path"], base)
             efficiency = spec.get("efficiency", 0.2)
-            threshold = spec.get("night_threshold", 0.1)
+            threshold = spec.get("night_threshold", DEFAULT_NIGHT_THRESHOLD)
             conversion = spec.get("irradiance_to_energy",
                                   DEFAULT_IRRADIANCE_TO_ENERGY)
             if not 0.0 < conversion < math.inf:
                 raise ValueError("irradiance_to_energy must be positive and "
                                  f"finite, got {conversion}")
-            _, ghi = _irradiation_columns(path)
-            day, day_weight, night_weight = _split_day_night(
-                ghi, efficiency, threshold)
+            day, day_weight, night_weight = prepare_generation_samples(
+                load_irradiation_csv(path), efficiency, threshold)
             if day.size < 2:
                 raise ScenarioConfigError(
                     f"{key}: {path} yields fewer than 2 daytime samples")

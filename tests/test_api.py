@@ -10,11 +10,13 @@ SUBMODULES = ("distributions", "markets", "equilibrium", "asymptotics",
               "pipeline")
 
 #: Forwarding views removed in favour of the methods, the solve and the
-#: coefficients they forwarded to, and the ordering checks' slack
-#: constants, which the certified search brackets replaced.
+#: coefficients they forwarded to, the ordering checks' slack constants,
+#: which the certified search brackets replaced, and the per-hour record
+#: type, which the irradiance array replaced.
 REMOVED = ("truncated_mean", "truncated_mean_inverse", "complementary_quantile",
            "mean_premium", "prt_slope_at_zero", "cb_slope_at_zero",
-           "beta_constant", "solve_social_optimum", "ORDER_RTOL", "EPS0_RTOL")
+           "beta_constant", "solve_social_optimum", "ORDER_RTOL", "EPS0_RTOL",
+           "IrradiationRecord")
 
 
 def test_package_exports_the_submodules_lists():

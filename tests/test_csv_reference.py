@@ -58,7 +58,6 @@ def _reference_floats(path, rows, column, what):
 
 def _reference_irradiation(path):
     rows = _reference_rows(path, (STAMP, GHI))
-    stamps = []
     for line, row in rows:
         stamp = (row[STAMP] or "").strip()
         try:
@@ -66,8 +65,8 @@ def _reference_irradiation(path):
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: bad timestamp "
                              f"{stamp!r}: {exc}") from None
-        stamps.append(stamp)
-    return list(zip(stamps, _reference_floats(path, rows, GHI, "irradiance")))
+    return np.array(_reference_floats(path, rows, GHI, "irradiance"),
+                    dtype=float)
 
 
 def _reference_survey(path, monthly_kwh, inflation_factor):
@@ -146,18 +145,13 @@ def _write(tmp_path, text):
     return path
 
 
-def _record_bits(records):
-    assert all(type(ghi) is float for _, ghi in records)
-    return [(stamp, ghi.hex()) for stamp, ghi in records]
-
-
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data_files((STAMP, GHI)))
 def test_irradiation_loader_agrees_with_dictreader(tmp_path, text):
     path = _write(tmp_path, text)
-    assert (_outcome(load_irradiation_csv, _record_bits, path)
-            == _outcome(_reference_irradiation, _record_bits, path))
+    assert (_outcome(load_irradiation_csv, np.ndarray.tobytes, path)
+            == _outcome(_reference_irradiation, np.ndarray.tobytes, path))
 
 
 @settings(max_examples=300, deadline=None,

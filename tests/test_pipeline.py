@@ -9,11 +9,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from solarmkt import (GenerationDistribution, IrradiationRecord,
-                      PremiumDistribution, ScenarioConfigError,
-                      fit_generation_kde, fit_truncated_exponential,
-                      load_irradiation_csv, load_premium_survey,
-                      load_scenario, prepare_generation_samples)
+from solarmkt import (GenerationDistribution, PremiumDistribution,
+                      ScenarioConfigError, fit_generation_kde,
+                      fit_truncated_exponential, load_irradiation_csv,
+                      load_premium_survey, load_scenario,
+                      prepare_generation_samples)
 from solarmkt import pipeline
 from solarmkt.cli import main
 from solarmkt.pipeline import _silverman_bandwidth
@@ -45,9 +45,9 @@ def test_load_irradiation_three_rows(tmp_path):
                   "2021-06-01T10:00:00,512.5\n"
                   "2021-06-01T11:00:00,640.0\n"
                   "2021-06-01T12:00:00,701.25\n")
-    records = load_irradiation_csv(path)
-    assert len(records) == 3
-    assert records[0] == IrradiationRecord("2021-06-01T10:00:00", 512.5)
+    ghi = load_irradiation_csv(path)
+    assert ghi.dtype == np.float64
+    assert ghi.tolist() == [512.5, 640.0, 701.25]
 
 
 def test_load_irradiation_rejects_negative_with_line_number(tmp_path):
@@ -79,15 +79,14 @@ def test_load_irradiation_missing_column(tmp_path):
 def test_load_irradiation_accepts_zulu_timestamps(tmp_path):
     path = _write(tmp_path, "irr.csv",
                   "timestamp,ghi_w_per_m2\n2021-06-01T10:00:00Z,512.5\n")
-    records = load_irradiation_csv(path)
-    assert records[0].ghi == 512.5
+    assert load_irradiation_csv(path)[0] == 512.5
 
 
 def test_load_irradiation_empty_file_warns(tmp_path, caplog):
     path = _write(tmp_path, "irr.csv", "timestamp,ghi_w_per_m2\n")
     with caplog.at_level(logging.WARNING):
-        records = load_irradiation_csv(path)
-    assert records == []
+        ghi = load_irradiation_csv(path)
+    assert ghi.size == 0
     assert any("no irradiation records" in r.message for r in caplog.records)
 
 
@@ -100,7 +99,7 @@ def test_csv_blank_lines_are_skipped_in_both_files(tmp_path):
                  "timestamp,ghi_w_per_m2\n\n"
                  "2021-06-01T10:00:00,512.5\n\n\n"
                  "2021-06-01T11:00:00,640.0\n\n")
-    assert [r.ghi for r in load_irradiation_csv(irr)] == [512.5, 640.0]
+    assert load_irradiation_csv(irr).tolist() == [512.5, 640.0]
     survey = _write(tmp_path, "s.csv", "usd_per_month\n6.0\n\n12.0\n\n")
     assert np.allclose(load_premium_survey(survey, monthly_kwh=600.0),
                        [0.01, 0.02])
@@ -135,9 +134,7 @@ def test_csv_columns_found_by_name_in_any_order(tmp_path):
                  "site,ghi_w_per_m2,note,timestamp\n"
                  "a,512.5,x,2021-06-01T10:00:00\n"
                  "b,640.0,y,2021-06-01T11:00:00\n")
-    assert load_irradiation_csv(irr) == [
-        IrradiationRecord("2021-06-01T10:00:00", 512.5),
-        IrradiationRecord("2021-06-01T11:00:00", 640.0)]
+    assert load_irradiation_csv(irr).tolist() == [512.5, 640.0]
     survey = _write(tmp_path, "s.csv",
                     "respondent,usd_per_month,zip\n1,6.0,94110\n2,12.0,94703\n")
     assert np.allclose(load_premium_survey(survey, monthly_kwh=600.0),
@@ -148,44 +145,50 @@ def test_csv_quoted_fields_parse(tmp_path):
     irr = _write(tmp_path, "irr.csv",
                  'timestamp,ghi_w_per_m2,note\n'
                  '"2021-06-01T10:00:00","512.5","clear, dry"\n')
-    assert load_irradiation_csv(irr) == [
-        IrradiationRecord("2021-06-01T10:00:00", 512.5)]
+    assert load_irradiation_csv(irr).tolist() == [512.5]
     survey = _write(tmp_path, "s.csv",
                     'usd_per_month,comment\n"6.0","yes, ""if cheap"""\n')
     assert np.allclose(load_premium_survey(survey, monthly_kwh=600.0), [0.01])
 
 
+def test_csv_byte_order_mark_is_read_past_in_both_files(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    irr = "timestamp,ghi_w_per_m2\n2021-06-01T10:00:00,512.5\n"
+    survey = "usd_per_month\n6.0\n12.0\n"
+    for text, load in ((irr, load_irradiation_csv),
+                       (survey, lambda path: load_premium_survey(path, 600.0))):
+        plain = _write(tmp_path, "plain.csv", text)
+        marked = _write(tmp_path, "marked.csv", "\ufeff" + text)
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load(marked).tobytes() == load(plain).tobytes()
+
+
 # ------------------------------------------------------------- sample preparation
-
-def _records(*ghi):
-    return [IrradiationRecord(f"2021-01-01T{i:02d}:00:00", g)
-            for i, g in enumerate(ghi)]
-
 
 def test_prepare_samples_splits_day_and_night():
     day, day_weight, night_weight = prepare_generation_samples(
-        _records(500.0, 0.0, 300.0), efficiency=0.2, night_threshold=0.1)
+        [500.0, 0.0, 300.0], efficiency=0.2, night_threshold=0.1)
     assert np.allclose(day, [100.0, 60.0])
     assert (day_weight, night_weight) == (2, 1)
 
 
 def test_prepare_samples_all_zero_input():
     day, day_weight, night_weight = prepare_generation_samples(
-        _records(0.0, 0.0), efficiency=0.5, night_threshold=0.1)
+        np.zeros(2), efficiency=0.5, night_threshold=0.1)
     assert day.size == 0 and day_weight == 0 and night_weight == 2
 
 
 def test_prepare_samples_zero_threshold_keeps_positive_data():
     day, _, night_weight = prepare_generation_samples(
-        _records(5.0, 9.0), efficiency=0.2, night_threshold=0.0)
+        [5.0, 9.0], efficiency=0.2, night_threshold=0.0)
     assert night_weight == 0 and day.size == 2
 
 
 def test_prepare_samples_validates_efficiency():
     with pytest.raises(ValueError):
-        prepare_generation_samples(_records(1.0), efficiency=0.0)
+        prepare_generation_samples([1.0], efficiency=0.0)
     with pytest.raises(ValueError):
-        prepare_generation_samples(_records(1.0), efficiency=0.2,
+        prepare_generation_samples([1.0], efficiency=0.2,
                                    night_threshold=-1.0)
 
 
@@ -194,7 +197,7 @@ def test_prepare_samples_rejects_a_threshold_that_is_not_finite(threshold):
     # NaN and inf would count every hour as night and blame the data
     with pytest.raises(ValueError, match="night threshold must be finite "
                        f"and non-negative, got {threshold}"):
-        prepare_generation_samples(_records(500.0, 300.0), efficiency=0.2,
+        prepare_generation_samples([500.0, 300.0], efficiency=0.2,
                                    night_threshold=threshold)
 
 
@@ -256,6 +259,18 @@ def test_kde_names_a_bad_bandwidth_it_was_given(bandwidth):
     # Silverman's bandwidth of a sample without spread is the sample's fault
     with pytest.raises(ValueError, match="^degenerate sample"):
         fit_generation_kde([2.0, 2.0, 2.0])
+
+
+BAD_GRID_SIZES = [0, 1, -5, 2.5, "64", True]
+
+
+@pytest.mark.parametrize("grid_size", BAD_GRID_SIZES)
+def test_kde_names_a_bad_grid_size(grid_size):
+    with pytest.raises(ValueError) as info:
+        fit_generation_kde([1.0, 3.0], grid_size=grid_size)
+    assert str(info.value) == ("grid_size must be an integer of at least 2, "
+                               f"got {grid_size!r}")
+    assert fit_generation_kde([1.0, 3.0], grid_size=2).grid.size == 2
 
 
 def _broadcast_kde(samples, bandwidth, grid_size):
@@ -491,9 +506,9 @@ def test_data_file_bandwidth_is_computed_once_per_period(tmp_path,
     scn = load_scenario(path)
     assert len(calls) == 2
     # the fit gets the bandwidth it would have chosen: the same density
-    records = load_irradiation_csv(tmp_path / "irr.csv")
+    ghi = load_irradiation_csv(tmp_path / "irr.csv")
     for period, efficiency in zip(scn.periods, (0.2, 0.3)):
-        day, _, _ = prepare_generation_samples(records, efficiency, 0.1)
+        day, _, _ = prepare_generation_samples(ghi, efficiency, 0.1)
         own = fit_generation_kde(day * 1e-3)
         np.testing.assert_array_equal(period.generation.grid, own.grid)
         np.testing.assert_array_equal(period.generation.density, own.density)
@@ -623,6 +638,9 @@ BAD_SETTINGS = [
     *[("generation", "bandwidth", value, "periods[0].generation: "
        f"bandwidth must be positive and finite, got {value}")
       for value in (math.nan, -0.01, 0.0, math.inf)],
+    *[("generation", "grid_size", value, "periods[0].generation: "
+       f"grid_size must be an integer of at least 2, got {value!r}")
+      for value in BAD_GRID_SIZES],
 ]
 
 
@@ -650,3 +668,20 @@ def test_config_keeps_the_degenerate_sample_message(tmp_path):
     with pytest.raises(ScenarioConfigError, match="^periods\\[0\\].generation: "
                        "degenerate sample \\(zero spread\\); cannot fit a KDE$"):
         load_scenario(path)
+
+
+def test_data_file_periods_read_through_the_public_loaders(tmp_path,
+                                                           monkeypatch):
+    config = _data_file_config(tmp_path)
+    data_file = config["periods"][0]
+    config["periods"] = [data_file, dict(data_file, load_gwh=2.0), {
+        "load_gwh": 1.0, "utility_price_usd_per_kwh": 1.0,
+        "generation": {"kind": "point_mass", "value": 0.0}}]
+    calls = []
+    for name in ("load_irradiation_csv", "prepare_generation_samples"):
+        own = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, own=own, name=name:
+                            calls.append(name) or own(*args))
+    load_scenario(_write(tmp_path, "three.json", json.dumps(config)))
+    assert calls.count("load_irradiation_csv") == 2
+    assert calls.count("prepare_generation_samples") == 2
