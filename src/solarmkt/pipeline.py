@@ -60,6 +60,20 @@ DEFAULT_NIGHT_THRESHOLD = 0.1
 _KDE_TILE_ROWS = 32
 _KDE_BLOCK = 4096
 
+# Where the KDE may leave out its mirror kernel.  The mirror term
+# exp(-0.5 ((s + x) / h)**2) is the direct term exp(-0.5 ((s - x) / h)**2)
+# times exp(-2 s x / h**2).  Where s x >= 19 h**2 that factor is at most
+# e**-38 ~ 3.1e-17, below 2**-54 ~ 5.6e-17, so the mirror is under half an
+# ulp of the direct term (a normal float below 2**(e + 1) has half an ulp
+# of 2**(e - 53)) and their sum rounds back to the direct term.  That needs
+# the direct term normal, which a tile checks by 0.5 ((s - x) / h)**2 <= 700
+# on its widest pair, i.e. |s - x| <= sqrt(1400) h: exp(-700) ~ 1e-304 lies
+# well above the smallest normal float, 2.2e-308.  The computed exponents
+# and the test s / h >= 19 / (x0 / h) round by a few ulps, far inside the
+# margin from e**-38 to 2**-54 ~ e**-37.4.
+_KDE_MIRROR_NEGLIGIBLE = 19.0
+_KDE_DIRECT_NORMAL = math.sqrt(1400.0)
+
 
 class ScenarioConfigError(ValueError):
     """A scenario config is malformed or references missing data."""
@@ -204,6 +218,14 @@ def _kde_inputs(samples, bandwidth) -> tuple[np.ndarray, float]:
     return samples, bandwidth
 
 
+def _gaussian(z: np.ndarray, bandwidth: float) -> None:
+    """z <- exp(-0.5 * (z / bandwidth)**2), in place."""
+    z /= bandwidth
+    np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+
+
 def fit_generation_kde(samples, bandwidth: float | None = None,
                        grid_size: int = DEFAULT_KDE_GRID_SIZE
                        ) -> GenerationDistribution:
@@ -228,24 +250,50 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
     # block of terms as one broadcast over the whole grid would.  Filling a
     # tile with the block and then shifting it by the rows is faster than an
     # outer difference, and (s - x)**2 is (x - s)**2 bit for bit.
-    shape = (min(grid_size, _KDE_TILE_ROWS), min(samples.size, _KDE_BLOCK))
-    direct, mirror = np.empty(shape), np.empty(shape)
+    # A tile evaluates the mirror terms only of the samples whose mirror can
+    # still change a bit (see _KDE_MIRROR_NEGLIGIBLE): every x in the tile is
+    # at least its first row x0, so those are the samples below
+    # 19 h**2 / x0, the first `need` of the block in ascending order.  When
+    # they are most of the block it mirrors the whole block; otherwise it
+    # gathers them into a contiguous tile and adds them back in place
+    # (addition commutes bit for bit).  Gathering costs about as much as
+    # mirroring the whole block once they are half of it.
+    direct = np.empty((min(grid_size, _KDE_TILE_ROWS),
+                       min(samples.size, _KDE_BLOCK)))
+    mirror = np.empty(direct.size)
+    # the skip's scalars are Python floats, which overflow to inf silently
+    h = float(bandwidth)
     for start in range(0, samples.size, _KDE_BLOCK):
         block = samples[start:start + _KDE_BLOCK]
+        order = np.argsort(block)
+        low, high = float(block[order[0]]), float(block[order[-1]])
+        scaled = block[order] / bandwidth  # s / h, ascending
         for r0 in range(0, grid_size, _KDE_TILE_ROWS):
             rows = grid[r0:r0 + _KDE_TILE_ROWS]
             z_direct = direct[:rows.size, :block.size]
-            z_mirror = mirror[:rows.size, :block.size]
             np.copyto(z_direct, block)
             z_direct -= rows[:, None]
-            np.copyto(z_mirror, block)
-            z_mirror += rows[:, None]
-            for z in (z_direct, z_mirror):
-                z /= bandwidth
-                np.square(z, out=z)
-                z *= -0.5
-                np.exp(z, out=z)
-            z_direct += z_mirror
+            _gaussian(z_direct, bandwidth)
+            first, last = float(rows[0]), float(rows[-1])
+            need = block.size
+            if first / h > 0.0 and (max(high - first, last - low)
+                                    <= _KDE_DIRECT_NORMAL * h):
+                need = int(np.searchsorted(
+                    scaled, _KDE_MIRROR_NEGLIGIBLE / (first / h)))
+            if 2 * need > block.size:
+                z_mirror = mirror[:z_direct.size].reshape(z_direct.shape)
+                np.copyto(z_mirror, block)
+                z_mirror += rows[:, None]
+                _gaussian(z_mirror, bandwidth)
+                z_direct += z_mirror
+            elif need:
+                columns = order[:need]
+                z_mirror = mirror[:rows.size * need].reshape(rows.size, need)
+                np.copyto(z_mirror, block[columns])
+                z_mirror += rows[:, None]
+                _gaussian(z_mirror, bandwidth)
+                z_mirror += np.take(z_direct, columns, axis=1)
+                z_direct[:, columns] = z_mirror
             density[r0:r0 + rows.size] += z_direct.sum(axis=1)
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return GenerationDistribution.from_density_grid(grid, density, normalize=True)
@@ -315,6 +363,16 @@ def _resolve(path_str: str, base: Path) -> Path:
     return resolved
 
 
+def _number(spec: dict, name: str, default=None):
+    """Setting `name` of a config section as written, or `default` when the
+    section leaves it out (without a default it is required).  It must be
+    a JSON number, an int or a float: never a bool, a string or null."""
+    value = spec[name] if default is None else spec.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
+
+
 @contextmanager
 def _config_section(name: str):
     """Report what goes wrong in one config section as a config error.
@@ -340,21 +398,24 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
     kind = spec["kind"]
     with _config_section(key):
         if kind == "uniform":
-            provenance[key] = f"uniform({spec['lo']}, {spec['hi']})"
-            return GenerationDistribution.uniform(spec["lo"], spec["hi"])
+            lo, hi = _number(spec, "lo"), _number(spec, "hi")
+            provenance[key] = f"uniform({lo}, {hi})"
+            return GenerationDistribution.uniform(lo, hi)
         if kind == "point_mass":
-            provenance[key] = f"point_mass({spec['value']})"
-            return GenerationDistribution.point_mass(spec["value"])
+            value = _number(spec, "value")
+            provenance[key] = f"point_mass({value})"
+            return GenerationDistribution.point_mass(value)
         if kind == "tabulated":
             provenance[key] = "tabulated(inline)"
             return GenerationDistribution.from_density_grid(
                 spec["grid"], spec["density"])
         if kind == "data_file":
             path = _resolve(spec["path"], base)
-            efficiency = spec.get("efficiency", 0.2)
-            threshold = spec.get("night_threshold", DEFAULT_NIGHT_THRESHOLD)
-            conversion = spec.get("irradiance_to_energy",
-                                  DEFAULT_IRRADIANCE_TO_ENERGY)
+            efficiency = _number(spec, "efficiency", 0.2)
+            threshold = _number(spec, "night_threshold",
+                                DEFAULT_NIGHT_THRESHOLD)
+            conversion = _number(spec, "irradiance_to_energy",
+                                 DEFAULT_IRRADIANCE_TO_ENERGY)
             if not 0.0 < conversion < math.inf:
                 raise ValueError("irradiance_to_energy must be positive and "
                                  f"finite, got {conversion}")
@@ -364,8 +425,9 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
                 raise ScenarioConfigError(
                     f"{key}: {path} yields fewer than 2 daytime samples")
             # the fit's default bandwidth, computed once for the provenance
-            samples, bandwidth = _kde_inputs(day * conversion,
-                                             spec.get("bandwidth"))
+            bandwidth = (_number(spec, "bandwidth") if "bandwidth" in spec
+                         else None)
+            samples, bandwidth = _kde_inputs(day * conversion, bandwidth)
             grid_size = spec.get("grid_size", DEFAULT_KDE_GRID_SIZE)
             fitted = fit_generation_kde(samples, bandwidth=bandwidth,
                                         grid_size=grid_size)
@@ -379,28 +441,32 @@ def _build_generation(spec, base: Path, provenance: dict, key: str
     raise ScenarioConfigError(f"{key}: unknown generation kind {kind!r}")
 
 
-def _build_premium(spec, epsilon, base: Path, provenance: dict
+def _build_premium(config: dict, base: Path, provenance: dict
                    ) -> PremiumDistribution:
+    """The config's premium section, scaled by its top-level epsilon."""
+    spec = config["premium"]
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioConfigError("premium spec needs a 'kind'")
     kind = spec["kind"]
     with _config_section("premium"):
-        epsilon = float(epsilon)
+        epsilon = float(_number(config, "epsilon", 1.0))
         if kind == "uniform":
-            provenance["premium"] = f"uniform(v_bar={spec['v_bar']})"
-            return PremiumDistribution.uniform(spec["v_bar"], epsilon=epsilon)
+            v_bar = _number(spec, "v_bar")
+            provenance["premium"] = f"uniform(v_bar={v_bar})"
+            return PremiumDistribution.uniform(v_bar, epsilon=epsilon)
         if kind == "truncated_exponential":
-            provenance["premium"] = (f"truncated_exponential(rate={spec['rate']}, "
-                                     f"v_bar={spec['v_bar']})")
+            rate, v_bar = _number(spec, "rate"), _number(spec, "v_bar")
+            provenance["premium"] = (f"truncated_exponential(rate={rate}, "
+                                     f"v_bar={v_bar})")
             return PremiumDistribution.truncated_exponential(
-                spec["rate"], spec["v_bar"], epsilon=epsilon)
+                rate, v_bar, epsilon=epsilon)
         if kind == "empirical":
             provenance["premium"] = f"empirical({len(spec['samples'])} samples)"
             return PremiumDistribution.empirical(spec["samples"], epsilon=epsilon)
         if kind == "survey_file":
             path = _resolve(spec["path"], base)
-            monthly = spec.get("monthly_kwh", 600.0)
-            inflation = spec.get("inflation_factor", 1.0)
+            monthly = _number(spec, "monthly_kwh", 600.0)
+            inflation = _number(spec, "inflation_factor", 1.0)
             values = load_premium_survey(path, monthly, inflation)
             fitted = fit_truncated_exponential(values)
             provenance["premium"] = (
@@ -435,8 +501,7 @@ def load_scenario(config_path) -> Scenario:
 
     base = config_path.parent
     provenance: dict[str, str] = {}
-    premium = _build_premium(config["premium"], config.get("epsilon", 1.0),
-                             base, provenance)
+    premium = _build_premium(config, base, provenance)
     periods = []
     for index, spec in enumerate(config["periods"]):
         key = f"periods[{index}]"
@@ -446,12 +511,13 @@ def load_scenario(config_path) -> Scenario:
             generation = _build_generation(spec["generation"], base,
                                            provenance, f"{key}.generation")
             periods.append(PeriodProfile(
-                load=float(spec["load_gwh"]),
-                utility_price=float(spec["utility_price_usd_per_kwh"]),
+                load=float(_number(spec, "load_gwh")),
+                utility_price=float(_number(spec,
+                                            "utility_price_usd_per_kwh")),
                 generation=generation,
-                weight=float(spec.get("weight", 1.0))))
+                weight=float(_number(spec, "weight", 1.0))))
     with _config_section(str(config_path)):
         return Scenario(periods=tuple(periods), premium=premium,
-                        pi0=float(config["pi0_usd_per_kw"]),
-                        t_tilde=float(config["t_tilde"]),
+                        pi0=float(_number(config, "pi0_usd_per_kw")),
+                        t_tilde=float(_number(config, "t_tilde")),
                         provenance=provenance)

@@ -1,5 +1,6 @@
 """Data ingestion, model fits, and scenario config assembly."""
 
+import functools
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from solarmkt import (GenerationDistribution, PremiumDistribution,
                       ScenarioConfigError, fit_generation_kde,
@@ -287,20 +289,88 @@ def _broadcast_kde(samples, bandwidth, grid_size):
     return GenerationDistribution.from_density_grid(grid, density, normalize=True)
 
 
-@pytest.mark.parametrize("n, bandwidth, grid_size", [
+# Sample sets that take the fit down each branch of its mirror skip
+# (pipeline._KDE_MIRROR_NEGLIGIBLE), drawn from default_rng(grid_size).
+SKIP_DRAWS = {
+    # bounded away from 0: most tiles leave out the whole mirror
+    "away_from_0": lambda rng: rng.gamma(3.0, 0.05, 1560) + 0.1,
+    # a day's bell of irradiance: tiles gather the low samples' mirrors
+    "gathered": lambda rng: 0.2 * np.exp(
+        -0.5 * rng.uniform(-2.0, 2.0, 1560) ** 2) * rng.uniform(
+            0.7, 1.05, 1560),
+    # a sample at exactly 0 needs its mirror on every row
+    "zero": lambda rng: np.append(rng.gamma(3.0, 0.05, 1559), 0.0),
+    "uniform_half_1": lambda rng: rng.uniform(0.5, 1.0, 1560),
+    # three 4096-sample blocks whose minima skip on different tiles
+    "three_blocks": lambda rng: np.concatenate([
+        rng.gamma(3.0, 0.05, 4096) + 0.2, rng.gamma(3.0, 0.05, 4096),
+        rng.uniform(0.4, 0.9, 808)]),
+}
+
+
+@pytest.mark.parametrize("draw, bandwidth, grid_size", [
     (1560, None, 1024),   # the California fixture's day-sample count
     (5000, None, 1024),   # crosses the 4096-sample block
     (1560, None, 7),      # fewer grid rows than one tile
     (1560, None, 33),     # one row past a whole tile
     (5000, None, 1000),   # a partial last tile and a partial last block
     (1560, 0.01, 1024),   # an explicit bandwidth
+    ("away_from_0", None, 1024),
+    ("gathered", None, 1024),
+    ("zero", None, 1024),
+    ("uniform_half_1", None, 1024),
+    # so narrow that the underflow guard blocks every skip
+    ("uniform_half_1", 0.005, 1024),
+    ("three_blocks", None, 1024),
+    ("gathered", None, 2),
 ])
-def test_kde_equals_the_broadcast_formula_bit_for_bit(n, bandwidth, grid_size):
-    samples = np.random.default_rng(n + grid_size).gamma(3.0, 0.05, n)
+def test_kde_equals_the_broadcast_formula_bit_for_bit(draw, bandwidth,
+                                                      grid_size):
+    """draw is n, for n gamma(3, 0.05) samples, or a SKIP_DRAWS name."""
+    if isinstance(draw, str):
+        samples = SKIP_DRAWS[draw](np.random.default_rng(grid_size))
+    else:
+        samples = np.random.default_rng(draw + grid_size).gamma(
+            3.0, 0.05, draw)
     expected = _broadcast_kde(
         samples, bandwidth or _silverman_bandwidth(samples), grid_size)
     fitted = fit_generation_kde(samples, bandwidth=bandwidth,
                                 grid_size=grid_size)
+    assert np.array_equal(fitted.grid, expected.grid)
+    assert np.array_equal(fitted.density, expected.density)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(0, 10**6).map(lambda k: k * 1e-6),
+                       min_size=1, max_size=60),
+       copies=st.integers(1, 3), zeros=st.integers(0, 2),
+       offset=st.sampled_from([0.0, 0.01, 0.3, 2.0]),
+       spread=st.sampled_from([1.0, 0.1, 0.01]),
+       exponent=st.floats(-9.0, 9.0),
+       width=st.one_of(st.none(), st.floats(-3.0, 0.5)),
+       grid_size=st.integers(2, 300))
+def test_kde_skip_is_bit_for_bit_on_any_sample(values, copies, zeros, offset,
+                                               spread, exponent, width,
+                                               grid_size):
+    # duplicates, zeros and offsets at scales from 1e-9 to 1e9; a width is
+    # the log10 of a bandwidth in units of the spread
+    scale = 10.0 ** exponent
+    samples = np.concatenate([
+        np.tile(np.multiply(values, spread) + offset, copies),
+        np.zeros(zeros)]) * scale
+    assume(samples.size >= 2 and samples.max() > 0.0)
+    bandwidth = _silverman_bandwidth(samples) if width is None else (
+        10.0 ** width * spread * scale)
+    assume(bandwidth > 0.0)
+    fit = functools.partial(fit_generation_kde, samples, bandwidth=bandwidth,
+                            grid_size=grid_size)
+    try:
+        expected = _broadcast_kde(samples, bandwidth, grid_size)
+    except ValueError:  # every kernel underflows at every grid point
+        with pytest.raises(ValueError, match="integrates to zero"):
+            fit()
+        return
+    fitted = fit()
     assert np.array_equal(fitted.grid, expected.grid)
     assert np.array_equal(fitted.density, expected.density)
 
@@ -657,6 +727,42 @@ def test_config_names_a_bad_data_file_setting(tmp_path, section, setting,
     with pytest.raises(ScenarioConfigError) as info:
         load_scenario(path)
     assert str(info.value) == message
+
+
+#: (keys down to the setting, value, section the error names) for config
+#: numbers written as a JSON bool or string; None names the config.
+NOT_NUMBERS = [
+    (("periods", 0, "load_gwh"), True, "periods[0]"),
+    (("periods", 0, "weight"), "2", "periods[0]"),
+    (("pi0_usd_per_kw",), "2700", None),
+    (("epsilon",), "1", "premium"),
+    (("periods", 0, "generation", "efficiency"), True,
+     "periods[0].generation"),
+    (("periods", 0, "generation", "night_threshold"), "0.1",
+     "periods[0].generation"),
+    (("premium", "monthly_kwh"), True, "premium"),
+    (("periods", 0, "generation", "efficiency"), "0.2",
+     "periods[0].generation"),
+    (("periods", 0, "generation", "bandwidth"), "0.01",
+     "periods[0].generation"),
+]
+
+
+@pytest.mark.parametrize("keys, value, section", NOT_NUMBERS,
+                         ids=[f"{k[-1]}={v!r}" for k, v, _ in NOT_NUMBERS])
+def test_config_names_a_number_that_is_a_bool_or_a_string(tmp_path, keys,
+                                                           value, section):
+    config = _data_file_config(tmp_path)
+    spec = config
+    for key in keys[:-1]:
+        spec = spec[key]
+    spec[keys[-1]] = value
+    path = _write(tmp_path, "bad.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value) == (f"{path if section is None else section}: "
+                               f"{keys[-1]} must be a number, "
+                               f"got {json.dumps(value)}")
 
 
 def test_config_keeps_the_degenerate_sample_message(tmp_path):
