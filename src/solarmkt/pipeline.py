@@ -19,7 +19,7 @@ import csv
 import json
 import logging
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
@@ -355,22 +355,104 @@ def fit_truncated_exponential(samples) -> PremiumDistribution:
 # Scenario configs
 # ----------------------------------------------------------------------
 
-def _resolve(path_str: str, base: Path) -> Path:
-    path = Path(path_str)
-    resolved = path if path.is_absolute() else base / path
-    if not resolved.exists():
-        raise ScenarioConfigError(f"referenced data file does not exist: {resolved}")
-    return resolved
+def _fit_irradiance(path: Path, efficiency: float, night_threshold: float,
+                    irradiance_to_energy: float, bandwidth: float | None,
+                    grid_size) -> tuple[GenerationDistribution, dict]:
+    """A data_file period's KDE, and what the fit found (for provenance)."""
+    if not 0.0 < irradiance_to_energy < math.inf:
+        raise ValueError("irradiance_to_energy must be positive and finite, "
+                         f"got {irradiance_to_energy}")
+    day, day_hours, night_hours = prepare_generation_samples(
+        load_irradiation_csv(path), efficiency, night_threshold)
+    if day.size < 2:
+        raise ValueError(f"{path} yields fewer than 2 daytime samples")
+    # the fit's default bandwidth, computed once for the provenance
+    samples, bandwidth = _kde_inputs(day * irradiance_to_energy, bandwidth)
+    fitted = fit_generation_kde(samples, bandwidth=bandwidth,
+                                grid_size=grid_size)
+    return fitted, {"bandwidth": f"{bandwidth:.6g}", "day_hours": day_hours,
+                    "night_hours": night_hours, "mean": f"{fitted.mean:.6g}"}
 
 
-def _number(spec: dict, name: str, default=None):
-    """Setting `name` of a config section as written, or `default` when the
-    section leaves it out (without a default it is required).  It must be
-    a JSON number, an int or a float: never a bool, a string or null."""
-    value = spec[name] if default is None else spec.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    return value
+def _fit_survey(path: Path, monthly_kwh: float, inflation_factor: float
+                ) -> tuple[PremiumDistribution, dict]:
+    """A survey_file premium's truncated exponential, and what the fit found."""
+    fitted = fit_truncated_exponential(
+        load_premium_survey(path, monthly_kwh, inflation_factor))
+    return fitted, {
+        "rate": f"{fitted.rate:.6g}", "v_bar": f"{fitted.v_bar:.6g}",
+        "mean": f"{fitted.base_mean:.6g}"}
+
+
+# Every config setting, declared once: its JSON type, then its default if
+# its section may leave it out.  The types follow JSON Schema (draft
+# 2020-12): a number is an int or a float that fits a float, never a bool;
+# None passes the value on as written.  The type names are the words the
+# error messages use.  A generation or premium kind names its constructor
+# or fit, which takes the kind's settings by name.
+_NUMBER, _NUMBERS, _STRING = "a number", "a list of numbers", "a string"
+_TOP = {"pi0_usd_per_kw": (_NUMBER,), "t_tilde": (_NUMBER,),
+        "epsilon": (_NUMBER, 1.0), "premium": (None,), "periods": (None,)}
+_PERIOD = {"load_gwh": (_NUMBER,), "utility_price_usd_per_kwh": (_NUMBER,),
+           "weight": (_NUMBER, 1.0), "generation": (None,)}
+_KINDS = {
+    "generation": {
+        "uniform": (GenerationDistribution.uniform,
+                    {"lo": (_NUMBER,), "hi": (_NUMBER,)}),
+        "point_mass": (GenerationDistribution.point_mass,
+                       {"value": (_NUMBER,)}),
+        "tabulated": (GenerationDistribution.from_density_grid,
+                      {"grid": (_NUMBERS,), "density": (_NUMBERS,)}),
+        "data_file": (_fit_irradiance, {
+            "path": (_STRING,), "efficiency": (_NUMBER, 0.2),
+            "night_threshold": (_NUMBER, DEFAULT_NIGHT_THRESHOLD),
+            "irradiance_to_energy": (_NUMBER, DEFAULT_IRRADIANCE_TO_ENERGY),
+            "bandwidth": (_NUMBER, None),
+            "grid_size": (None, DEFAULT_KDE_GRID_SIZE)}),
+    },
+    "premium": {
+        "uniform": (PremiumDistribution.uniform, {"v_bar": (_NUMBER,)}),
+        "truncated_exponential": (PremiumDistribution.truncated_exponential,
+                                  {"rate": (_NUMBER,), "v_bar": (_NUMBER,)}),
+        "empirical": (PremiumDistribution.empirical, {"samples": (_NUMBERS,)}),
+        "survey_file": (_fit_survey, {"path": (_STRING,),
+                                      "monthly_kwh": (_NUMBER, 600.0),
+                                      "inflation_factor": (_NUMBER, 1.0)}),
+    },
+}
+
+
+def _checked(name: str, json_type: str | None, value):
+    """Setting `name` as its JSON type asks: a float, a list of floats or
+    a string, else a ValueError that names it; untyped, as written."""
+    if json_type is _NUMBERS and isinstance(value, list):
+        if set(map(type, value)) <= {int, float}:  # no bool, no string
+            with suppress(OverflowError):
+                return list(map(float, value))
+        # name the first item that is not a number or does not fit a float
+        return [_checked(f"{name}[{i}]", _NUMBER, v) for i, v in enumerate(value)]
+    if json_type is _NUMBER and type(value) in (int, float):  # not a bool
+        with suppress(OverflowError):
+            return float(value)
+        raise ValueError(f"{name} must be a number that fits a float, got "
+                         f"an integer of {len(str(abs(value)))} digits")
+    if json_type is None or json_type is _STRING and isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be {json_type}, got {json.dumps(value)}")
+
+
+def _read(spec: dict, row: dict, section: str | None = None) -> dict:
+    """The settings `row` of the table declares, checked, from config
+    section `spec`, with their defaults where it leaves them out.
+
+    A missing required setting raises KeyError.  A key the row does not
+    declare is warned about, except in the open top level (no `section`).
+    """
+    for key in (key for key in spec if section and key not in row):
+        logger.warning("%s: unknown setting %r is ignored", section, key)
+    return {name: default[0] if name not in spec and default
+            else _checked(name, json_type, spec[name])
+            for name, (json_type, *default) in row.items()}
 
 
 @contextmanager
@@ -391,90 +473,35 @@ def _config_section(name: str):
         raise ScenarioConfigError(f"{name}: {exc}") from None
 
 
-def _build_generation(spec, base: Path, provenance: dict, key: str
-                      ) -> GenerationDistribution:
+def _build(section: str, spec, base: Path, provenance: dict):
+    """The distribution of a generation or premium config section.
+
+    Its kind's row of the table reads its other settings; a `path`
+    resolves against `base`; the kind's constructor or fit takes the
+    settings by name.
+    """
+    what = section.rpartition(".")[2]
+    # a premium message starts with "premium" already, so it gets no prefix
+    where = "" if section == what else f"{section}: "
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioConfigError(f"{key}: generation spec needs a 'kind'")
-    kind = spec["kind"]
-    with _config_section(key):
-        if kind == "uniform":
-            lo, hi = _number(spec, "lo"), _number(spec, "hi")
-            provenance[key] = f"uniform({lo}, {hi})"
-            return GenerationDistribution.uniform(lo, hi)
-        if kind == "point_mass":
-            value = _number(spec, "value")
-            provenance[key] = f"point_mass({value})"
-            return GenerationDistribution.point_mass(value)
-        if kind == "tabulated":
-            provenance[key] = "tabulated(inline)"
-            return GenerationDistribution.from_density_grid(
-                spec["grid"], spec["density"])
-        if kind == "data_file":
-            path = _resolve(spec["path"], base)
-            efficiency = _number(spec, "efficiency", 0.2)
-            threshold = _number(spec, "night_threshold",
-                                DEFAULT_NIGHT_THRESHOLD)
-            conversion = _number(spec, "irradiance_to_energy",
-                                 DEFAULT_IRRADIANCE_TO_ENERGY)
-            if not 0.0 < conversion < math.inf:
-                raise ValueError("irradiance_to_energy must be positive and "
-                                 f"finite, got {conversion}")
-            day, day_weight, night_weight = prepare_generation_samples(
-                load_irradiation_csv(path), efficiency, threshold)
-            if day.size < 2:
+        raise ScenarioConfigError(f"{where}{what} spec needs a 'kind'")
+    kind, spec = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
+    if not isinstance(kind, str) or kind not in _KINDS[what]:
+        raise ScenarioConfigError(f"{where}unknown {what} kind {kind!r}")
+    make, row = _KINDS[what][kind]
+    with _config_section(section):
+        settings = _read(spec, row, section)
+        if "path" in settings:
+            settings["path"] = path = base / settings["path"]
+            if not path.exists():
                 raise ScenarioConfigError(
-                    f"{key}: {path} yields fewer than 2 daytime samples")
-            # the fit's default bandwidth, computed once for the provenance
-            bandwidth = (_number(spec, "bandwidth") if "bandwidth" in spec
-                         else None)
-            samples, bandwidth = _kde_inputs(day * conversion, bandwidth)
-            grid_size = spec.get("grid_size", DEFAULT_KDE_GRID_SIZE)
-            fitted = fit_generation_kde(samples, bandwidth=bandwidth,
-                                        grid_size=grid_size)
-            provenance[key] = (
-                f"kde(path={path}, efficiency={efficiency}, "
-                f"night_threshold={threshold}, conversion={conversion}, "
-                f"day_hours={day_weight}, night_hours={night_weight}, "
-                f"bandwidth={bandwidth:.6g}, grid_size={grid_size}, "
-                f"mean={fitted.mean:.6g})")
-            return fitted
-    raise ScenarioConfigError(f"{key}: unknown generation kind {kind!r}")
-
-
-def _build_premium(config: dict, base: Path, provenance: dict
-                   ) -> PremiumDistribution:
-    """The config's premium section, scaled by its top-level epsilon."""
-    spec = config["premium"]
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioConfigError("premium spec needs a 'kind'")
-    kind = spec["kind"]
-    with _config_section("premium"):
-        epsilon = float(_number(config, "epsilon", 1.0))
-        if kind == "uniform":
-            v_bar = _number(spec, "v_bar")
-            provenance["premium"] = f"uniform(v_bar={v_bar})"
-            return PremiumDistribution.uniform(v_bar, epsilon=epsilon)
-        if kind == "truncated_exponential":
-            rate, v_bar = _number(spec, "rate"), _number(spec, "v_bar")
-            provenance["premium"] = (f"truncated_exponential(rate={rate}, "
-                                     f"v_bar={v_bar})")
-            return PremiumDistribution.truncated_exponential(
-                rate, v_bar, epsilon=epsilon)
-        if kind == "empirical":
-            provenance["premium"] = f"empirical({len(spec['samples'])} samples)"
-            return PremiumDistribution.empirical(spec["samples"], epsilon=epsilon)
-        if kind == "survey_file":
-            path = _resolve(spec["path"], base)
-            monthly = _number(spec, "monthly_kwh", 600.0)
-            inflation = _number(spec, "inflation_factor", 1.0)
-            values = load_premium_survey(path, monthly, inflation)
-            fitted = fit_truncated_exponential(values)
-            provenance["premium"] = (
-                f"survey(path={path}, monthly_kwh={monthly}, "
-                f"inflation_factor={inflation}, rate={fitted.rate:.6g}, "
-                f"v_bar={fitted.v_bar:.6g}, mean={fitted.base_mean:.6g})")
-            return fitted.with_epsilon(epsilon)
-    raise ScenarioConfigError(f"unknown premium kind {kind!r}")
+                    f"referenced data file does not exist: {path}")
+        made = make(**settings)
+    made, found = made if isinstance(made, tuple) else (made, {})
+    provenance[section] = f"{kind}(" + ", ".join(
+        f"{name}=[{len(value)} values]" if isinstance(value, list)
+        else f"{name}={value}" for name, value in {**settings, **found}.items()) + ")"
+    return made
 
 
 def load_scenario(config_path) -> Scenario:
@@ -489,35 +516,34 @@ def load_scenario(config_path) -> Scenario:
         raise ScenarioConfigError(f"config file does not exist: {config_path}")
     try:
         config = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of too many digits
         raise ScenarioConfigError(f"{config_path}: invalid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ScenarioConfigError(f"{config_path}: top level must be an object")
-    for key in ("pi0_usd_per_kw", "t_tilde", "premium", "periods"):
-        if key not in config:
-            raise ScenarioConfigError(f"{config_path}: missing key {key!r}")
-    if not isinstance(config["periods"], list) or not config["periods"]:
+    with _config_section(str(config_path)):
+        top = _read(config, _TOP)
+    if not isinstance(top["periods"], list) or not top["periods"]:
         raise ScenarioConfigError(f"{config_path}: 'periods' must be a non-empty list")
 
     base = config_path.parent
     provenance: dict[str, str] = {}
-    premium = _build_premium(config, base, provenance)
+    with _config_section("premium"):
+        premium = _build("premium", top["premium"], base, provenance
+                         ).with_epsilon(top["epsilon"])
     periods = []
-    for index, spec in enumerate(config["periods"]):
+    for index, spec in enumerate(top["periods"]):
         key = f"periods[{index}]"
         if not isinstance(spec, dict):
             raise ScenarioConfigError(f"{key}: must be an object")
         with _config_section(key):
-            generation = _build_generation(spec["generation"], base,
-                                           provenance, f"{key}.generation")
+            period = _read(spec, _PERIOD, key)
             periods.append(PeriodProfile(
-                load=float(_number(spec, "load_gwh")),
-                utility_price=float(_number(spec,
-                                            "utility_price_usd_per_kwh")),
-                generation=generation,
-                weight=float(_number(spec, "weight", 1.0))))
+                load=period["load_gwh"],
+                utility_price=period["utility_price_usd_per_kwh"],
+                generation=_build(f"{key}.generation", period["generation"],
+                                  base, provenance),
+                weight=period["weight"]))
     with _config_section(str(config_path)):
         return Scenario(periods=tuple(periods), premium=premium,
-                        pi0=float(_number(config, "pi0_usd_per_kw")),
-                        t_tilde=float(_number(config, "t_tilde")),
+                        pi0=top["pi0_usd_per_kw"], t_tilde=top["t_tilde"],
                         provenance=provenance)

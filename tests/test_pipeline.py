@@ -6,6 +6,7 @@ import logging
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from solarmkt import (GenerationDistribution, PremiumDistribution,
 from solarmkt import pipeline
 from solarmkt.cli import main
 from solarmkt.pipeline import _silverman_bandwidth
+from test_acceptance import _write_california_fixtures
 
 DESK_CONFIG = {
     "pi0_usd_per_kw": 0.125,
@@ -540,8 +542,8 @@ def test_load_scenario_with_data_files(tmp_path):
     assert scn.periods[0].generation.kind == "tabulated"
     assert scn.periods[1].generation.kind == "point_mass"
     assert scn.premium.kind == "truncated_exponential"
-    assert "kde" in scn.provenance["periods[0].generation"]
-    assert "survey" in scn.provenance["premium"]
+    assert scn.provenance["periods[0].generation"].startswith("data_file(")
+    assert scn.provenance["premium"].startswith("survey_file(")
 
     # the provenance names the bandwidth the fit used and its grid size
     day, _, _ = prepare_generation_samples(
@@ -620,7 +622,7 @@ def test_load_scenario_schema_errors(tmp_path):
     with pytest.raises(ScenarioConfigError, match="invalid JSON"):
         load_scenario(bad_json)
     incomplete = _write(tmp_path, "inc.json", json.dumps({"t_tilde": 1.0}))
-    with pytest.raises(ScenarioConfigError, match="missing key"):
+    with pytest.raises(ScenarioConfigError, match="missing field"):
         load_scenario(incomplete)
     bad_kind = dict(DESK_CONFIG, premium={"kind": "zipf", "v_bar": 1.0})
     path = _write(tmp_path, "kind.json", json.dumps(bad_kind))
@@ -647,12 +649,31 @@ def test_load_scenario_truncated_exponential_premium(tmp_path):
         load_scenario(path)
 
 
+_DROP = object()
+
+
+def _edited(config, keys, value):
+    """A copy of `config` with the setting at `keys` set to `value`, or
+    dropped for _DROP; with no keys, `value` is the whole document."""
+    if not keys:
+        return value
+    config = json.loads(json.dumps(config))
+    spec = config
+    for key in keys[:-1]:
+        spec = spec[key]
+    if value is _DROP:
+        del spec[keys[-1]]
+    else:
+        spec[keys[-1]] = value
+    return config
+
+
 #: (keys down to the field, bad value, section the error names) for values
 #: of the wrong JSON type, one per config section; None names the config.
 WRONG_TYPES = [
     (("periods", 0, "generation", "lo"), "abc", "periods[0].generation"),
     (("premium", "v_bar"), None, "premium"),
-    (("epsilon",), [1], "premium"),
+    (("epsilon",), [1], None),
     (("periods", 0, "load_gwh"), None, "periods[0]"),
     (("t_tilde",), [1], None),
 ]
@@ -662,11 +683,7 @@ WRONG_TYPES = [
                          ids=[".".join(map(str, k)) for k, _, _ in WRONG_TYPES])
 def test_wrong_json_types_are_config_errors(tmp_path, capsys, keys, value,
                                             section):
-    config = json.loads(json.dumps(DESK_CONFIG))
-    spec = config
-    for key in keys[:-1]:
-        spec = spec[key]
-    spec[keys[-1]] = value
+    config = _edited(DESK_CONFIG, keys, value)
     path = _write(tmp_path, "bad.json", json.dumps(config))
     prefix = f"{path if section is None else section}: "
     with pytest.raises(ScenarioConfigError) as info:
@@ -735,7 +752,7 @@ NOT_NUMBERS = [
     (("periods", 0, "load_gwh"), True, "periods[0]"),
     (("periods", 0, "weight"), "2", "periods[0]"),
     (("pi0_usd_per_kw",), "2700", None),
-    (("epsilon",), "1", "premium"),
+    (("epsilon",), "1", None),
     (("periods", 0, "generation", "efficiency"), True,
      "periods[0].generation"),
     (("periods", 0, "generation", "night_threshold"), "0.1",
@@ -752,17 +769,160 @@ NOT_NUMBERS = [
                          ids=[f"{k[-1]}={v!r}" for k, v, _ in NOT_NUMBERS])
 def test_config_names_a_number_that_is_a_bool_or_a_string(tmp_path, keys,
                                                            value, section):
-    config = _data_file_config(tmp_path)
-    spec = config
-    for key in keys[:-1]:
-        spec = spec[key]
-    spec[keys[-1]] = value
+    config = _edited(_data_file_config(tmp_path), keys, value)
     path = _write(tmp_path, "bad.json", json.dumps(config))
     with pytest.raises(ScenarioConfigError) as info:
         load_scenario(path)
     assert str(info.value) == (f"{path if section is None else section}: "
                                f"{keys[-1]} must be a number, "
                                f"got {json.dumps(value)}")
+
+
+#: (keys down to a setting of the data-file config, its value, the whole
+#: message) for the errors of a config's shape; {config} is its path and
+#: {csv} the irradiance file's.
+CONFIG_SHAPE_ERRORS = [
+    ((), [], "{config}: top level must be an object"),
+    (("periods",), [], "{config}: 'periods' must be a non-empty list"),
+    (("periods",), {"load_gwh": 1.0}, "{config}: 'periods' must be a "
+     "non-empty list"),
+    (("periods", 0), 5, "periods[0]: must be an object"),
+    (("periods", 0, "load_gwh"), _DROP, "periods[0]: missing field "
+     "'load_gwh'"),
+    (("premium", "path"), _DROP, "premium: missing field 'path'"),
+    (("periods", 0, "generation", "kind"), _DROP, "periods[0].generation: "
+     "generation spec needs a 'kind'"),
+    (("periods", 0, "generation"), 1.0, "periods[0].generation: generation "
+     "spec needs a 'kind'"),
+    (("premium", "kind"), _DROP, "premium spec needs a 'kind'"),
+    (("premium",), ["uniform"], "premium spec needs a 'kind'"),
+    (("periods", 0, "generation", "kind"), "zipf", "periods[0].generation: "
+     "unknown generation kind 'zipf'"),
+    (("periods", 0, "generation", "kind"), ["uniform"],
+     "periods[0].generation: unknown generation kind ['uniform']"),
+    (("premium", "kind"), ["uniform"], "unknown premium kind ['uniform']"),
+    (("periods", 0, "generation", "efficiency"), 1e-4,
+     "periods[0].generation: {csv} yields fewer than 2 daytime samples"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", CONFIG_SHAPE_ERRORS,
+                         ids=[m.replace("{config}: ", "").replace("{csv} ", "")
+                              for _, _, m in CONFIG_SHAPE_ERRORS])
+def test_config_shape_errors_name_their_section(tmp_path, keys, value,
+                                                message):
+    config = _edited(_data_file_config(tmp_path), keys, value)
+    path = _write(tmp_path, "bad.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value) == message.format(config=path,
+                                             csv=tmp_path / "irr.csv")
+
+
+HUGE = int("1" + "0" * 400)
+
+#: (keys down to a setting of the data-file config, its value, the whole
+#: message) for lists and strings of the wrong JSON type, and integers too
+#: large for a float.
+NOT_LISTS_OR_STRINGS = [
+    (("premium",), {"kind": "empirical", "samples": ["1", "2"]},
+     'premium: samples[0] must be a number, got "1"'),
+    (("premium",), {"kind": "empirical", "samples": [True, 2]},
+     "premium: samples[0] must be a number, got true"),
+    (("premium",), {"kind": "empirical", "samples": 5},
+     "premium: samples must be a list of numbers, got 5"),
+    (("premium",), {"kind": "empirical", "samples": "abc"},
+     'premium: samples must be a list of numbers, got "abc"'),
+    (("periods", 0, "generation"), {"kind": "tabulated", "grid": ["0", "1"],
+                                    "density": [1.0, 1.0]},
+     'periods[0].generation: grid[0] must be a number, got "0"'),
+    (("periods", 0, "generation"), {"kind": "tabulated", "grid": [0, 1],
+                                    "density": [1, HUGE]},
+     "periods[0].generation: density[1] must be a number that fits a float, "
+     "got an integer of 401 digits"),
+    (("premium", "path"), 5, "premium: path must be a string, got 5"),
+    (("periods", 0, "generation", "path"), ["irr.csv"],
+     'periods[0].generation: path must be a string, got ["irr.csv"]'),
+    (("t_tilde",), -HUGE, "{config}: t_tilde must be a number that fits a "
+     "float, got an integer of 401 digits"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", NOT_LISTS_OR_STRINGS,
+                         ids=[m.split(": ")[1].split(" must")[0]
+                              for _, _, m in NOT_LISTS_OR_STRINGS])
+def test_config_names_a_list_or_string_of_the_wrong_type(tmp_path, keys,
+                                                         value, message):
+    config = _edited(_data_file_config(tmp_path), keys, value)
+    path = _write(tmp_path, "bad.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value) == message.format(config=path)
+
+
+def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    config = _edited(_data_file_config(tmp_path), ("periods", 0, "load_gwh"),
+                     HUGE)
+    path = _write(tmp_path, "huge.json", json.dumps(config))
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: periods[0]: load_gwh must be a number that fits "
+                   "a float, got an integer of 401 digits\n")
+
+
+def test_an_integer_of_too_many_digits_for_python_names_the_config(tmp_path):
+    # json refuses to parse an integer of more than 4300 digits
+    text = json.dumps(DESK_CONFIG).replace('"t_tilde": 1.0',
+                                           '"t_tilde": 1' + "0" * 5000)
+    path = _write(tmp_path, "digits.json", text)
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_unknown_settings_are_warned_about_by_section(tmp_path, caplog):
+    config = _data_file_config(tmp_path)
+    # a kind belongs on the generation, not on its period
+    config["periods"][0].update(wieght=2.0, kind="data_file")
+    config["periods"][0]["generation"].update(efficency=0.3)
+    config["premium"].update(monthly_kwhs=500.0, inflation=1.1)
+    path = _write(tmp_path, "typos.json", json.dumps(config))
+    with caplog.at_level(logging.WARNING, logger="solarmkt"):
+        scenario = load_scenario(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        "premium: unknown setting 'monthly_kwhs' is ignored",
+        "premium: unknown setting 'inflation' is ignored",
+        "periods[0]: unknown setting 'wieght' is ignored",
+        "periods[0]: unknown setting 'kind' is ignored",
+        "periods[0].generation: unknown setting 'efficency' is ignored"]
+    # the misspelled settings keep their defaults
+    plain = load_scenario(_write(tmp_path, "plain.json",
+                                 json.dumps(_data_file_config(tmp_path))))
+    assert scenario.provenance == plain.provenance
+    assert scenario.periods[0].weight == 1.0
+
+
+def test_shipped_configs_log_nothing(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="solarmkt"):
+        load_scenario(_write_california_fixtures(tmp_path))
+        load_scenario(_write(tmp_path, "desk.json", json.dumps(DESK_CONFIG)))
+    assert caplog.records == []
+
+
+def test_readme_names_every_setting_of_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    schema, kinds = readme.split("## Scenario config schema")[1].split(
+        "Generation kinds", 1)
+    for row in (pipeline._TOP, pipeline._PERIOD):
+        assert [name for name in row if f'"{name}"' not in schema] == []
+    generation, premium = kinds.split("Premium kinds", 1)
+    for what, text in (("generation", generation), ("premium", premium)):
+        table = {line.split("|")[1].strip(" `"): line
+                 for line in text.split("\n\n")[1].splitlines()}
+        for kind, (_, row) in pipeline._KINDS[what].items():
+            assert [name for name in row if f"`{name}`" not in table[kind]] == []
 
 
 def test_config_keeps_the_degenerate_sample_message(tmp_path):
