@@ -5,6 +5,12 @@ environment control is SOLARMKT_LOG_LEVEL for log verbosity.  Outputs
 are deterministic given (config, seed): sweeps solve their points in
 increasing value order, with the contract market's breakpoints at all
 of them searched together.
+
+``main(argv)`` may be called any number of times in one process.  Every
+call reuses the one parser built when this module is imported, reads
+SOLARMKT_LOG_LEVEL afresh, and logs to the ``sys.stderr`` current during
+that call, unless the host program gave the root logger handlers of its
+own.
 """
 
 from __future__ import annotations
@@ -30,10 +36,32 @@ logger = logging.getLogger(__name__)
 DEFAULT_EPSILON_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler that writes to whatever ``sys.stderr`` is when a
+    record is emitted, so a redirected stderr gets its own call's records."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_LOG_HANDLER = _StderrHandler()
+
+
 def _configure_logging():
-    level = os.environ.get("SOLARMKT_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Log to the current stderr at SOLARMKT_LOG_LEVEL, unless the host
+    program gave the root logger handlers of its own, which stand (as
+    ``logging.basicConfig`` leaves them)."""
+    root = logging.getLogger()
+    if not root.handlers:
+        root.addHandler(_LOG_HANDLER)
+    if root.handlers == [_LOG_HANDLER]:
+        level = os.environ.get("SOLARMKT_LOG_LEVEL", "WARNING").upper()
+        root.setLevel(getattr(logging, level, logging.WARNING))
 
 
 def _fmt(x: float) -> str:
@@ -227,10 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import, so that repeated main() calls only parse
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioConfigError, NoEquilibriumError, ConvergenceError,

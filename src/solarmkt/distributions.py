@@ -40,7 +40,7 @@ _DENSITY_NORM_TOL = 1.0e-8
 def _require_finite(name, *values):
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+            raise ValueError(f"{name} must be finite, got {float(v)!r}")
 
 
 def _clamp(x, lo, hi):
@@ -109,8 +109,8 @@ class GenerationDistribution:
                 raise ValueError("density integrates to zero; cannot normalize")
             density = density / total
         elif abs(total - 1.0) > _DENSITY_NORM_TOL:
-            raise ValueError(f"density integrates to {total!r}, expected 1 within "
-                             f"{_DENSITY_NORM_TOL}")
+            raise ValueError(f"density integrates to {float(total)!r}, "
+                             f"expected 1 within {_DENSITY_NORM_TOL}")
         return cls(kind="tabulated", lo=float(grid[0]), hi=float(grid[-1]),
                    grid=grid, density=_readonly(density))
 

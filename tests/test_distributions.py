@@ -108,6 +108,18 @@ def test_tabulated_validation():
         GenerationDistribution.from_density_grid([0.0, 1.0], [3.0, 3.0])
 
 
+def test_error_messages_print_numpy_scalars_as_plain_floats():
+    with pytest.raises(ValueError) as info:
+        GenerationDistribution.from_density_grid([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+    assert str(info.value) == "density integrates to 3.0, expected 1 within 1e-08"
+    with pytest.raises(ValueError) as info:
+        GenerationDistribution.point_mass(np.float64("nan"))
+    assert str(info.value) == "point mass must be finite, got nan"
+    with pytest.raises(ValueError) as info:
+        GenerationDistribution.uniform(np.float64(0.0), np.float64("inf"))
+    assert str(info.value) == "uniform bounds must be finite, got inf"
+
+
 def test_uniform_validation():
     with pytest.raises(ValueError):
         GenerationDistribution.uniform(1.0, 0.5)

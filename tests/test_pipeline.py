@@ -605,6 +605,18 @@ def test_load_scenario_inline_models(tmp_path):
     assert scn.periods[0].generation.mean == pytest.approx(0.5, rel=1e-12)
 
 
+def test_load_scenario_names_a_density_that_does_not_integrate_to_1(tmp_path):
+    config = dict(DESK_CONFIG, periods=DESK_CONFIG["periods"] + [
+        {"load_gwh": 1.0, "utility_price_usd_per_kwh": 1.0,
+         "generation": {"kind": "tabulated", "grid": [0, 1, 2],
+                        "density": [1, 2, 1]}}])
+    path = _write(tmp_path, "unnormalized.json", json.dumps(config))
+    with pytest.raises(ScenarioConfigError) as info:
+        load_scenario(path)
+    assert str(info.value) == ("periods[1].generation: density integrates "
+                               "to 3.0, expected 1 within 1e-08")
+
+
 def test_load_scenario_missing_data_file_names_path(tmp_path):
     config = dict(DESK_CONFIG)
     config["periods"] = [{
