@@ -60,8 +60,10 @@ def _configure_logging():
     if not root.handlers:
         root.addHandler(_LOG_HANDLER)
     if root.handlers == [_LOG_HANDLER]:
-        level = os.environ.get("SOLARMKT_LOG_LEVEL", "WARNING").upper()
-        root.setLevel(getattr(logging, level, logging.WARNING))
+        # an int only for a level name; any other name reads as WARNING
+        level = logging.getLevelName(
+            os.environ.get("SOLARMKT_LOG_LEVEL", "WARNING").upper())
+        root.setLevel(level if isinstance(level, int) else logging.WARNING)
 
 
 def _fmt(x: float) -> str:

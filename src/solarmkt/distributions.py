@@ -310,7 +310,13 @@ class GenerationDistribution:
         return np.concatenate((xs[:n], x_cut)), np.concatenate((ws[:n], w_cut))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n realizations (inverse-CDF sampling for tabulated kinds)."""
+        """Draw n realizations.
+
+        A tabulated density picks a grid cell with probability equal to
+        its mass and draws uniformly within it: this inverts the node
+        CDF interpolated linearly, not the piecewise-linear density's
+        own CDF, which is quadratic inside a cell.
+        """
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, n)
         if self.kind == "point_mass":

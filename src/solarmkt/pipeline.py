@@ -198,15 +198,27 @@ def _silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * spread * samples.size ** (-0.2)
 
 
-def _kde_inputs(samples, bandwidth) -> tuple[np.ndarray, float]:
-    """The samples and bandwidth of fit_generation_kde, checked: a given
-    bandwidth must be positive and finite, and Silverman's, the default,
-    is not when the sample has no spread."""
-    samples = np.asarray(samples, dtype=float)
+def _sorted_samples(samples, fit: str) -> np.ndarray:
+    """A fit's samples as a flat array in ascending order, checked: at
+    least 2, all finite and non-negative.
+
+    Both fits sum over their samples in this order, so what they fit
+    depends on the values alone and not on the order of the rows they
+    came from.  NaN sorts last, so the two ends carry the check.
+    """
+    samples = np.sort(np.asarray(samples, dtype=float), axis=None)
     if samples.size < 2:
-        raise ValueError("KDE fit needs at least 2 samples")
-    if not np.all(np.isfinite(samples)) or np.any(samples < 0.0):
+        raise ValueError(f"{fit} fit needs at least 2 samples")
+    if not (samples[0] >= 0.0 and samples[-1] < math.inf):
         raise ValueError("samples must be finite and non-negative")
+    return samples
+
+
+def _kde_inputs(samples, bandwidth) -> tuple[np.ndarray, float]:
+    """The sorted samples and the bandwidth of fit_generation_kde,
+    checked: a given bandwidth must be positive and finite, and
+    Silverman's, the default, is not when the sample has no spread."""
+    samples = _sorted_samples(samples, "KDE")
     if bandwidth is None:
         bandwidth = _silverman_bandwidth(samples)
         if not 0.0 < bandwidth < math.inf:
@@ -234,67 +246,59 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
     The density is tabulated on a uniform grid over [0, 1.1 * max] and
     renormalized, so mass the kernels would leak below zero is folded
     back instead of lost.  Bandwidth defaults to Silverman's rule; the
-    grid size must be an int (not a bool) of at least 2.
+    grid size must be an int (not a bool) of at least 2.  The samples
+    are sorted first, so the fitted bits do not depend on their order.
     """
     if type(grid_size) is not int or grid_size < 2:
         raise ValueError("grid_size must be an integer of at least 2, "
                          f"got {grid_size!r}")
     samples, bandwidth = _kde_inputs(samples, bandwidth)
-    hi = float(samples.max()) * 1.1
+    hi = float(samples[-1]) * 1.1
     if hi <= 0.0:
         raise ValueError("all samples are zero; use a point mass instead")
     grid = np.linspace(0.0, hi, grid_size)
     density = np.zeros(grid_size)
     # Every (row, sample) term is exp(-0.5 * ((s -/+ x) / h)**2), evaluated
     # in place in two reused tile buffers; each row sums the same contiguous
-    # block of terms as one broadcast over the whole grid would.  Filling a
-    # tile with the block and then shifting it by the rows is faster than an
-    # outer difference, and (s - x)**2 is (x - s)**2 bit for bit.
+    # block of terms, in ascending order of the samples, as one broadcast
+    # over the whole grid would.  Filling a tile with the block and then
+    # shifting it by the rows is faster than an outer difference, and
+    # (s - x)**2 is (x - s)**2 bit for bit.
     # A tile evaluates the mirror terms only of the samples whose mirror can
     # still change a bit (see _KDE_MIRROR_NEGLIGIBLE): every x in the tile is
     # at least its first row x0, so those are the samples below
-    # 19 h**2 / x0, the first `need` of the block in ascending order.  When
-    # they are most of the block it mirrors the whole block; otherwise it
-    # gathers them into a contiguous tile and adds them back in place
-    # (addition commutes bit for bit).  Gathering costs about as much as
-    # mirroring the whole block once they are half of it.
+    # 19 h**2 / x0, a prefix of the sorted block.  It adds them onto their
+    # direct terms in place (addition commutes bit for bit).
     direct = np.empty((min(grid_size, _KDE_TILE_ROWS),
                        min(samples.size, _KDE_BLOCK)))
     mirror = np.empty(direct.size)
     # the skip's scalars are Python floats, which overflow to inf silently
     h = float(bandwidth)
-    for start in range(0, samples.size, _KDE_BLOCK):
-        block = samples[start:start + _KDE_BLOCK]
-        order = np.argsort(block)
-        low, high = float(block[order[0]]), float(block[order[-1]])
-        scaled = block[order] / bandwidth  # s / h, ascending
-        for r0 in range(0, grid_size, _KDE_TILE_ROWS):
-            rows = grid[r0:r0 + _KDE_TILE_ROWS]
-            z_direct = direct[:rows.size, :block.size]
-            np.copyto(z_direct, block)
-            z_direct -= rows[:, None]
-            _gaussian(z_direct, bandwidth)
-            first, last = float(rows[0]), float(rows[-1])
-            need = block.size
-            if first / h > 0.0 and (max(high - first, last - low)
-                                    <= _KDE_DIRECT_NORMAL * h):
-                need = int(np.searchsorted(
-                    scaled, _KDE_MIRROR_NEGLIGIBLE / (first / h)))
-            if 2 * need > block.size:
-                z_mirror = mirror[:z_direct.size].reshape(z_direct.shape)
-                np.copyto(z_mirror, block)
-                z_mirror += rows[:, None]
-                _gaussian(z_mirror, bandwidth)
-                z_direct += z_mirror
-            elif need:
-                columns = order[:need]
-                z_mirror = mirror[:rows.size * need].reshape(rows.size, need)
-                np.copyto(z_mirror, block[columns])
-                z_mirror += rows[:, None]
-                _gaussian(z_mirror, bandwidth)
-                z_mirror += np.take(z_direct, columns, axis=1)
-                z_direct[:, columns] = z_mirror
-            density[r0:r0 + rows.size] += z_direct.sum(axis=1)
+    # a term whose (s -/+ x) / h overflows is exp(-inf) = 0, as it should be
+    with np.errstate(over="ignore"):
+        for start in range(0, samples.size, _KDE_BLOCK):
+            block = samples[start:start + _KDE_BLOCK]
+            low, high = float(block[0]), float(block[-1])
+            scaled = block / bandwidth  # s / h, ascending
+            for r0 in range(0, grid_size, _KDE_TILE_ROWS):
+                rows = grid[r0:r0 + _KDE_TILE_ROWS]
+                z_direct = direct[:rows.size, :block.size]
+                np.copyto(z_direct, block)
+                z_direct -= rows[:, None]
+                _gaussian(z_direct, bandwidth)
+                first, last = float(rows[0]), float(rows[-1])
+                need = block.size
+                if first / h > 0.0 and (max(high - first, last - low)
+                                        <= _KDE_DIRECT_NORMAL * h):
+                    need = int(np.searchsorted(
+                        scaled, _KDE_MIRROR_NEGLIGIBLE / (first / h)))
+                if need:
+                    z_mirror = mirror[:rows.size * need].reshape(rows.size, need)
+                    np.copyto(z_mirror, block[:need])
+                    z_mirror += rows[:, None]
+                    _gaussian(z_mirror, bandwidth)
+                    z_direct[:, :need] += z_mirror
+                density[r0:r0 + rows.size] += z_direct.sum(axis=1)
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return GenerationDistribution.from_density_grid(grid, density, normalize=True)
 
@@ -323,14 +327,12 @@ def fit_truncated_exponential(samples) -> PremiumDistribution:
     of units.  The model mean falls from v_bar / 2 at x = 0, above any
     accepted sample mean, to below the sample mean at x = v_bar / mean,
     which brackets the root.  Samples whose mean is not below half the
-    maximum (the flat-density limit) are rejected as degenerate.
+    maximum (the flat-density limit) are rejected as degenerate.  The
+    mean is taken over the sorted samples, so the fit does not depend on
+    their order.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("truncated-exponential fit needs at least 2 samples")
-    if not np.all(np.isfinite(samples)) or np.any(samples < 0.0):
-        raise ValueError("samples must be finite and non-negative")
-    v_bar = float(samples.max())
+    samples = _sorted_samples(samples, "truncated-exponential")
+    v_bar = float(samples[-1])
     mean = float(samples.mean())
     if v_bar <= 0.0 or mean <= 0.0:
         raise ValueError("degenerate sample: no positive support")

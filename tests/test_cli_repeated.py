@@ -142,6 +142,19 @@ def test_each_call_logs_to_its_own_stderr_at_its_own_level(solve_bogus,
     assert root.handlers == [cli._LOG_HANDLER]
 
 
+@pytest.mark.parametrize("level", ["basic_format", "BASIC_FORMAT",
+                                   "nonsense"])
+def test_a_level_logging_does_not_name_reads_as_the_default(solve_bogus,
+                                                            monkeypatch,
+                                                            level):
+    # logging.BASIC_FORMAT is an attribute of logging but no level
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    monkeypatch.setenv("SOLARMKT_LOG_LEVEL", level)
+    assert solve_bogus() == BOGUS_WARNING
+    assert root.level == logging.WARNING
+
+
 def test_a_root_logger_the_host_configured_is_left_alone(solve_bogus,
                                                          monkeypatch):
     root = logging.getLogger()

@@ -277,8 +277,20 @@ def test_kde_names_a_bad_grid_size(grid_size):
     assert fit_generation_kde([1.0, 3.0], grid_size=2).grid.size == 2
 
 
+def test_kde_terms_that_overflow_are_zero_without_a_warning():
+    # Silverman's bandwidth here is about 5e-307, so (s - x) / h overflows
+    # when squared; the suite turns a RuntimeWarning into an error
+    fitted = fit_generation_kde([0.0, 0.0, 0.0, 1e-306, 1e-6], grid_size=3)
+    # all the mass sits at 0, in the first trapezoid cell
+    assert fitted.density[1:].tolist() == [0.0, 0.0]
+    assert fitted.density[0] == pytest.approx(2.0 / fitted.grid[1],
+                                              rel=1e-15)
+
+
 def _broadcast_kde(samples, bandwidth, grid_size):
-    """The reflected KDE as one broadcast per 4096-sample block."""
+    """The reflected KDE as one broadcast per 4096-sample block of the
+    sorted samples."""
+    samples = np.sort(samples)
     grid = np.linspace(0.0, float(samples.max()) * 1.1, grid_size)
     density = np.zeros(grid_size)
     for start in range(0, samples.size, 4096):
@@ -296,14 +308,15 @@ def _broadcast_kde(samples, bandwidth, grid_size):
 SKIP_DRAWS = {
     # bounded away from 0: most tiles leave out the whole mirror
     "away_from_0": lambda rng: rng.gamma(3.0, 0.05, 1560) + 0.1,
-    # a day's bell of irradiance: tiles gather the low samples' mirrors
+    # a day's bell of irradiance: tiles mirror a prefix of the sorted block
     "gathered": lambda rng: 0.2 * np.exp(
         -0.5 * rng.uniform(-2.0, 2.0, 1560) ** 2) * rng.uniform(
             0.7, 1.05, 1560),
     # a sample at exactly 0 needs its mirror on every row
     "zero": lambda rng: np.append(rng.gamma(3.0, 0.05, 1559), 0.0),
     "uniform_half_1": lambda rng: rng.uniform(0.5, 1.0, 1560),
-    # three 4096-sample blocks whose minima skip on different tiles
+    # three 4096-sample blocks of the sorted samples, whose minima skip on
+    # different tiles
     "three_blocks": lambda rng: np.concatenate([
         rng.gamma(3.0, 0.05, 4096) + 0.2, rng.gamma(3.0, 0.05, 4096),
         rng.uniform(0.4, 0.9, 808)]),
@@ -335,7 +348,8 @@ def test_kde_equals_the_broadcast_formula_bit_for_bit(draw, bandwidth,
         samples = np.random.default_rng(draw + grid_size).gamma(
             3.0, 0.05, draw)
     expected = _broadcast_kde(
-        samples, bandwidth or _silverman_bandwidth(samples), grid_size)
+        samples, bandwidth or _silverman_bandwidth(np.sort(samples)),
+        grid_size)
     fitted = fit_generation_kde(samples, bandwidth=bandwidth,
                                 grid_size=grid_size)
     assert np.array_equal(fitted.grid, expected.grid)
@@ -501,6 +515,60 @@ def test_truncated_exponential_rejects_degenerate():
         fit_truncated_exponential([0.3, 0.3])
     with pytest.raises(ValueError):
         fit_truncated_exponential([0.5])
+
+
+# ------------------------------------------------------------ order of samples
+
+def _outcome(fit, samples):
+    """What a fit makes of its samples: the bits it fitted, or its error."""
+    try:
+        fitted = fit(samples)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(fitted, GenerationDistribution):
+        return fitted.grid.tobytes(), fitted.density.tobytes()
+    return fitted.rate, fitted.v_bar
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=200),
+       top=st.floats(1.0, 100.0), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+       bandwidth=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+       grid_size=st.integers(2, 200), data=st.data())
+def test_fits_do_not_depend_on_the_order_of_their_samples(values, top, scale,
+                                                          bandwidth, grid_size,
+                                                          data):
+    # a top value well above the rest leaves the MLE a positive rate
+    samples = np.multiply(values + [top], scale)
+    shuffled = np.array(data.draw(st.permutations(samples)))
+    fits = [functools.partial(
+        fit_generation_kde, bandwidth=bandwidth and bandwidth * scale,
+        grid_size=grid_size), fit_truncated_exponential]
+    for fit in fits:
+        assert _outcome(fit, shuffled) == _outcome(fit, samples)
+
+
+def _shuffle_rows(path, rng):
+    """Rewrite a CSV with its data rows in random order, header first."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(header + "".join(rng.permutation(rows)), encoding="utf-8")
+
+
+def test_a_scenario_does_not_depend_on_the_row_order_of_its_data(tmp_path):
+    config = _write_california_fixtures(tmp_path)
+    before = load_scenario(config)
+    rng = np.random.default_rng(30)
+    for name in ("irradiation.csv", "survey.csv"):
+        _shuffle_rows(tmp_path / name, rng)
+    after = load_scenario(config)
+    generation = [(p.generation.grid.tobytes(), p.generation.density.tobytes())
+                  for p in before.periods if p.generation.kind == "tabulated"]
+    assert generation and generation == [
+        (p.generation.grid.tobytes(), p.generation.density.tobytes())
+        for p in after.periods if p.generation.kind == "tabulated"]
+    assert (before.premium.rate, before.premium.v_bar) == (
+        after.premium.rate, after.premium.v_bar)
+    assert before.provenance == after.provenance
 
 
 # ------------------------------------------------------------------ scenario load
