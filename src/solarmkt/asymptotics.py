@@ -205,7 +205,8 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     """Solve every design across the premium scales and check their order.
 
     ``srt`` is solved once, on the scenario as given, and ``prt``, ``cb``
-    and ``opt`` per scale, ``opt`` sharing ``prt``'s search.  ``gap_k``
+    and ``opt`` per scale, ``opt`` sharing ``prt``'s search and both
+    reading ``srt``'s at scale 0.  ``gap_k``
     solves ``prt`` and ``cb`` at two scales below the grid, and the
     expansion reads that same ``srt`` result.  The grid's scales and
     the two of ``gap_k`` are one sweep (``equilibrium._solve_sweep``),

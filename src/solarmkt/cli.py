@@ -4,7 +4,9 @@ All science inputs come from the JSON scenario config; the only
 environment control is SOLARMKT_LOG_LEVEL for log verbosity.  Outputs
 are deterministic given (config, seed): sweeps solve their points in
 increasing value order, with the contract market's breakpoints at all
-of them searched together.
+of them searched together, each distinct (knot premium, price) pair
+once.  An epsilon sweep, and ``report``, search ``srt`` once; at scale
+0 ``prt`` and ``opt`` are that search relabelled.
 
 ``main(argv)`` may be called any number of times in one process.  Every
 call reuses the one parser built when this module is imported, reads

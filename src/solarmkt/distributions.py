@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,8 +55,27 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
-class GenerationDistribution:
+class _SameBits:
+    """Equality and hash over a dataclass's fields, each array as its
+    dtype, shape and bytes: equal distributions are the same bits.  The
+    field-wise ``==`` a dataclass generates cannot compare arrays."""
+
+    def _key(self) -> tuple:
+        return tuple((v.dtype.str, v.shape, v.tobytes())
+                     if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class GenerationDistribution(_SameBits):
     """Per-unit-capacity solar output G for one operation period.
 
     Kinds: ``uniform`` on [lo, hi], ``tabulated`` (piecewise-linear
@@ -341,8 +360,8 @@ _F_SERIES_CUT = 0.1
 _F_SERIES = tuple((-1.0) ** n / (n * (n - 1)) for n in range(17, 1, -1))
 
 
-@dataclass(frozen=True)
-class PremiumDistribution:
+@dataclass(frozen=True, eq=False)
+class PremiumDistribution(_SameBits):
     """Distribution of buyer solar premiums V = eps * base premium.
 
     ``v_bar`` is the top of the *unscaled* base support, so the scaled
@@ -429,7 +448,12 @@ class PremiumDistribution:
         lo, hi = (float(p.min()), float(p.max())) if p.size else (0.0, 0.0)
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("probability outside [0, 1]")
-        p = _clamp(p, 0.0, 1.0)
+        return self._base_cq(_clamp(p, 0.0, 1.0))
+
+    def _base_cq(self, p: np.ndarray):
+        """``base_complementary_quantile`` of a float array p already in
+        [0, 1], unchecked: the premium revenue calls it on served
+        fractions it built in that range."""
         if self.kind == "uniform":
             return self.v_bar * (1.0 - p)
         if self.kind == "truncated_exponential":
@@ -437,8 +461,8 @@ class PremiumDistribution:
             # but cancels as y nears 1 (p near 0 under steep rates).  There
             # 1 - y is taken as e^-x + p k (x = rate * v_bar), a sum without
             # cancellation; the switch sits near the top so that few
-            # elements take that indexed path, and none unless the
-            # smallest p reaches it.  Steep rates round e^-x to 0 and the
+            # elements take that indexed path, and none unless k, the
+            # largest y, reaches it.  Steep rates round e^-x to 0 and the
             # log at p = 0 to -inf; the true value never exceeds the
             # support top.
             k = self._texp_k
@@ -446,7 +470,7 @@ class PremiumDistribution:
             y = (1.0 - flat) * k
             with np.errstate(divide="ignore"):
                 log_tail = np.log1p(-y)
-                if (1.0 - max(lo, 0.0)) * k > 15.0 / 16.0:
+                if k > 15.0 / 16.0:
                     top = np.flatnonzero(y > 15.0 / 16.0)
                     log_tail[top] = np.log(math.exp(-self.rate * self.v_bar)
                                            + flat[top] * k)

@@ -10,8 +10,9 @@ result is the differentiated market's search, relabelled: the equality
 holds exactly rather than to solver tolerance.
 
 A scenario is immutable, so each design is solved at most once per
-scenario instance: ``solve_ne`` keeps its results on the scenario, and
-``opt`` reads ``prt``'s.  A sweep (``_solve_sweep``) stores the results
+scenario instance: ``solve_ne`` keeps its results on the scenario,
+``opt`` reads ``prt``'s, and at premium scale 0 both read ``srt``'s.  A
+sweep (``_solve_sweep``) stores the results
 its points share before solving them.  Only this module touches that
 store.
 """
@@ -134,10 +135,14 @@ def solve_ne(scenario: Scenario, mechanism: str) -> EquilibriumResult:
     scenario instance; a repeat call returns the stored result.  ``opt``
     is the welfare optimum, which shares the differentiated market's
     characterizing equation: it is the ``prt`` result relabelled, so it
-    makes no search of its own.
+    makes no search of its own.  At premium scale 0 the differentiated
+    window value reads no premium, so its search is ``srt``'s, and
+    ``prt`` and ``opt`` are the ``srt`` result relabelled.
     """
     _check_mechanism(mechanism, SOLVE_MECHANISMS)
     design = "prt" if mechanism == "opt" else mechanism
+    if design == "prt" and scenario.premium.epsilon == 0.0:
+        design = "srt"
     solved = scenario._solved
     if design not in solved:
         solved[design] = (_solve_cb(scenario) if design == "cb"
@@ -170,8 +175,10 @@ def _solve_sweep(scenario: Scenario, param: str, values,
     (``markets._cb_demands``) and are stored on the points first.  An
     epsilon point differs from the scenario only in its premium, which
     ``srt`` does not read, so it stores the scenario's own ``srt``
-    result: one search for the whole sweep.  Every result is the same
-    bits as a fresh ``solve_all`` of its point.
+    result: one search for the whole sweep.  A point at scale 0 stores
+    it even when ``srt`` is not requested, for its ``prt`` and ``opt``
+    are that search (``solve_ne``).  Every result is the same bits as a
+    fresh ``solve_all`` of its point.
     """
     for m in mechanisms:
         _check_mechanism(m, SOLVE_MECHANISMS)
@@ -184,10 +191,15 @@ def _solve_sweep(scenario: Scenario, param: str, values,
                                          for p in points])
         for point, capacity in zip(points, demands):
             point._solved["cb"] = _cb_result(point, capacity)
-    if param == "epsilon" and "srt" in mechanisms and points:
-        srt = solve_ne(scenario, "srt")
-        for point in points:
-            point._solved["srt"] = srt
+    if param == "epsilon":
+        reads_srt = "srt" in mechanisms
+        at_zero = "prt" in mechanisms or "opt" in mechanisms
+        takers = [p for p in points
+                  if reads_srt or (at_zero and p.premium.epsilon == 0.0)]
+        if takers:
+            srt = solve_ne(scenario, "srt")
+            for point in takers:
+                point._solved["srt"] = srt
     return [solve_all(point, mechanisms) for point in points]
 
 

@@ -291,9 +291,10 @@ def _scarcity_integral(scenario: Scenario, c: float, kernel,
 
 def _premium_revenue(scenario: Scenario, c: float) -> float:
     """R1(c): premium revenue per unit capacity and planning window at
-    premium scale 1, before the lifetime scaling."""
-    return _scarcity_integral(scenario, c,
-                              scenario.premium.base_complementary_quantile,
+    premium scale 1, before the lifetime scaling.  The served fractions
+    of ``_scarcity_integral`` lie in [0, 1], so the premium kernel takes
+    them unchecked."""
+    return _scarcity_integral(scenario, c, scenario.premium._base_cq,
                               lambda period, q, g: q * g)
 
 
@@ -475,28 +476,37 @@ def _cb_demand_breaks(scenario: Scenario, points) -> list:
     (premium, price) point on the scenario's periods, in knot order: a
     list of floats, or an array for a table premium.
 
+    Each distinct (knot premium, price) pair is searched once: the
+    points of a premium-scale sweep share their price, so the
+    zero-premium buyer's demand there is one search for the whole sweep.
     Scale 0 is one knot, the zero-premium buyer.  A premium of at most
     two knots searches each knot's demand in plain floats.  The knots of
     every table premium, at every point, are one array call of
     ``_cb_demand_profile``, each with its own price.
     """
+    found = {}  # (knot premium, price) -> demand, searched in plain floats
     breaks, tables = [], []
     for prem, pi in points:
         if prem.epsilon == 0.0 or prem.knots.size <= 2:
             levels = ((prem.epsilon * prem.knots).tolist() if prem.epsilon
                       else [0.0])
-            breaks.append([_cb_demand_profile(scenario, v, pi)
-                           for v in levels])
+            for v in levels:
+                if (v, pi) not in found:
+                    found[v, pi] = _cb_demand_profile(scenario, v, pi)
+            breaks.append([found[v, pi] for v in levels])
         else:
             tables.append((len(breaks), prem.epsilon * prem.knots, pi))
             breaks.append(None)
     if tables:
-        found = _cb_demand_profile(
-            scenario, np.concatenate([vs for _, vs, _ in tables]),
-            np.concatenate([np.full(vs.size, pi) for _, vs, pi in tables]))
+        # a pair is the complex number v + i pi, so that np.unique keeps
+        # each distinct pair once, its two parts exact
+        pairs, where = np.unique(
+            np.concatenate([vs + complex(0.0, pi) for _, vs, pi in tables]),
+            return_inverse=True)
+        demands = _cb_demand_profile(scenario, pairs.real, pairs.imag)[where]
         start = 0
         for i, vs, _ in tables:
-            breaks[i] = found[start:start + vs.size]
+            breaks[i] = demands[start:start + vs.size]
             start += vs.size
     return breaks
 

@@ -54,13 +54,22 @@ def _leggauss(order: int):
     return nodes, weights
 
 
+@lru_cache(maxsize=32)
+def _leggauss_shifted(order: int):
+    """The Gauss-Legendre nodes plus 1, on [0, 2], and the weights."""
+    nodes, weights = _leggauss(order)
+    shifted = nodes + 1.0
+    shifted.setflags(write=False)
+    return shifted, weights
+
+
 def gauss_legendre_rule(lo: float, hi: float, order: int = 64):
     """Nodes and weights integrating exactly polynomials of degree < 2*order on [lo, hi]."""
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    x, w = _leggauss(order)
+    x1, w = _leggauss_shifted(order)
     half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    return lo + half * x1, half * w
 
 
 def gauss_legendre_panels(edges, order: int):

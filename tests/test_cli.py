@@ -377,16 +377,17 @@ def test_each_command_runs_each_level_set_search_once(desk, desk_config,
         run()
         return len(calls)
 
-    # srt once for every row and for the expansion, prt per scale (opt
-    # shares it) and two gap_k scales; solve runs srt and prt only; an
-    # epsilon sweep runs srt once and prt per value
-    assert searches(lambda: ordering_report(desk, DEFAULT_EPSILON_GRID)) == 8
+    # srt once for every row, for the expansion and for prt at scale 0,
+    # prt per positive scale (opt shares it) and two gap_k scales; solve
+    # runs srt and prt only; an epsilon sweep runs srt once, which its
+    # scale-0 point reads for prt, and prt per positive value
+    assert searches(lambda: ordering_report(desk, DEFAULT_EPSILON_GRID)) == 7
     assert searches(lambda: main(["solve", "--config", str(desk_config),
                                   "--out", str(tmp_path / "s.json")])) == 2
     assert searches(lambda: main(["sweep", "--config", str(desk_config),
                                   "--param", "epsilon",
                                   "--values", "0,0.25,0.5,0.75,1",
-                                  "--out", str(tmp_path / "s.csv")])) == 6
+                                  "--out", str(tmp_path / "s.csv")])) == 5
     assert searches(lambda: solve_all(desk, ("prt", "opt"))) == 1
     calls.clear()
     with pytest.raises(ValueError, match="unknown mechanism 'xyz'"):

@@ -1,6 +1,7 @@
 """Generation and premium distribution transforms against brute-force oracles."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -304,3 +305,37 @@ def test_generation_sampling_matches_distribution():
     draws = gen.sample(rng, 40000)
     assert draws.mean() == pytest.approx(gen.mean, rel=0.02)
     assert draws.min() >= 0.0 and draws.max() <= 2.0
+
+
+# -------------------------------------------------------------------- equality
+
+TABLES = {
+    "density": lambda: GenerationDistribution.from_density_grid(
+        [0.0, 1.0, 2.0], [0.5, 0.5, 0.5], normalize=True),
+    "quantiles": lambda: PremiumDistribution.empirical([0.1, 0.4, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_distributions_are_equal_exactly_when_their_bits_are(name):
+    build = TABLES[name]
+    a, b = build(), build()
+    assert a == b and hash(a) == hash(b)
+    assert a != name
+    bumped = getattr(a, name).copy()
+    bumped[1] = np.nextafter(bumped[1], np.inf)
+    assert replace(a, **{name: bumped}) != a
+    # the same values in another dtype or shape are other bits
+    table = getattr(a, name)
+    assert replace(a, **{name: table.astype(np.float32)}) != a
+    assert replace(a, **{name: table[:, None]}) != a
+
+
+def test_analytic_distributions_compare_by_kind_and_scalars():
+    texp = PremiumDistribution.truncated_exponential(3.0, 0.5)
+    assert texp == PremiumDistribution.truncated_exponential(3.0, 0.5)
+    assert hash(texp) == hash(PremiumDistribution.truncated_exponential(3.0, 0.5))
+    assert texp != texp.with_epsilon(0.5)
+    assert PremiumDistribution.uniform(0.5) != replace(texp, rate=0.0)
+    assert GenerationDistribution.uniform(0.0, 1.0) != \
+        GenerationDistribution.uniform(0.0, np.nextafter(1.0, 2.0))

@@ -307,3 +307,37 @@ def test_cb_clearing_makes_no_search_at_the_choke_price(monkeypatch, power):
     clear_cb(scn, c)
     assert 0 < len(prices) <= 16
     assert all(0 < len(evals) and max(evals) <= 16 for evals in prices)
+
+
+# ------------------------------------------------------ the unchecked kernel
+
+#: Fractions every kernel check includes: the ends of [0, 1], their
+#: neighbours, and the subnormals and the smallest normal.
+EDGE_FRACTIONS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                  0.5, np.nextafter(1.0, 0.0), 1.0]
+
+
+@st.composite
+def premiums(draw):
+    """A uniform, empirical or truncated-exponential premium, the last
+    also with rates steep enough that every fraction near 0 takes the
+    15/16 branch and e^-x rounds to 0."""
+    kind = draw(st.sampled_from(["uniform", "empirical", "texp", "steep"]))
+    v_bar = draw(st.floats(0.05, 1.2))
+    if kind == "uniform":
+        return PremiumDistribution.uniform(v_bar)
+    if kind == "empirical":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_empirical_premium(rng, 1.0)
+    x = draw(st.floats(0.01, 20.0) if kind == "texp"
+             else st.floats(3.0, 2000.0))
+    return PremiumDistribution.truncated_exponential(x / v_bar, v_bar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(premiums(), st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_the_unchecked_premium_kernel_is_the_checked_one_bit_for_bit(
+        prem, fractions):
+    p = np.array(fractions + EDGE_FRACTIONS)
+    checked = prem.base_complementary_quantile(p)
+    assert prem._base_cq(p).tobytes() == checked.tobytes()
