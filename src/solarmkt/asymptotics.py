@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GenerationDistribution, lambda_ratio
-from .equilibrium import _solve_sweep, solve_ne
+from .equilibrium import SOLVE_MECHANISMS, _solve_sweep, solve_ne
 from .markets import Scenario, _covered_energy, _premium_revenue
 
 __all__ = [
@@ -204,14 +204,13 @@ class OrderingReport:
 def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     """Solve every design across the premium scales and check their order.
 
-    ``srt`` is solved once, on the scenario as given, and ``prt``, ``cb``
-    and ``opt`` per scale, ``opt`` sharing ``prt``'s search and both
-    reading ``srt``'s at scale 0.  ``gap_k``
-    solves ``prt`` and ``cb`` at two scales below the grid, and the
-    expansion reads that same ``srt`` result.  The grid's scales and
-    the two of ``gap_k`` are one sweep (``equilibrium._solve_sweep``),
-    so the contract market's breakpoints at all of them are searched
-    together.
+    The grid's scales and the two of ``gap_k`` (``prt`` and ``cb`` at two
+    scales below the grid) are one sweep (``equilibrium._solve_sweep``):
+    ``srt`` is solved once, on the scenario as given, and every row, the
+    expansion and each scale's ``cb`` zero knot read it; ``prt`` and
+    ``opt`` share one search per positive scale and read ``srt``'s at
+    scale 0; and the contract market's positive breakpoints at all the
+    scales are searched together.
     ``prt_eq_opt`` holds by construction; the independent check that
     ``prt`` maximizes ``welfare`` is a test in ``tests/test_equilibrium.py``.
     The orderings compare the certified brackets without slack:
@@ -221,9 +220,6 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     grid = [float(e) for e in epsilon_grid]
     if any(e < 0.0 for e in grid):
         raise ValueError("premium scales must be non-negative")
-
-    # The srt search reads no premium: one solve serves every row, bit for bit.
-    srt = solve_ne(scenario, "srt")
 
     coeffs = None
     flatness = None
@@ -245,7 +241,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
                   if coeffs is not None and positive else [])
     scales = list(dict.fromkeys(grid)) + gap_scales
     solved = dict(zip(scales, _solve_sweep(scenario, "epsilon", scales,
-                                           ("prt", "cb", "opt"))))
+                                           SOLVE_MECHANISMS)))
 
     gap_k = None
     if gap_scales:
@@ -257,6 +253,7 @@ def ordering_report(scenario: Scenario, epsilon_grid) -> OrderingReport:
     passed = True
     for eps in grid:
         res = solved[eps]
+        srt = res["srt"]
         c_prt, c_cb, c_opt = (res[m].capacity for m in ("prt", "cb", "opt"))
         srt_le_prt = srt.bracket[0] <= res["prt"].bracket[1]
         prt_eq_opt = abs(c_prt - c_opt) <= 1e-12 * c_prt

@@ -3,10 +3,11 @@
 All science inputs come from the JSON scenario config; the only
 environment control is SOLARMKT_LOG_LEVEL for log verbosity.  Outputs
 are deterministic given (config, seed): sweeps solve their points in
-increasing value order, with the contract market's breakpoints at all
-of them searched together, each distinct (knot premium, price) pair
-once.  An epsilon sweep, and ``report``, search ``srt`` once; at scale
-0 ``prt`` and ``opt`` are that search relabelled.
+increasing value order, with the contract market's positive premium
+breakpoints at all of them searched together.  A point's ``srt``
+capacity is its zero-premium buyer's demand at pi*, so ``cb`` reads
+that search for its zero knot.  An epsilon sweep, and ``report``, search
+``srt`` once; at scale 0 ``prt`` and ``opt`` are that search relabelled.
 
 ``main(argv)`` may be called any number of times in one process.  Every
 call reuses the one parser built when this module is imported, reads
@@ -31,7 +32,7 @@ from .equilibrium import (SOLVE_MECHANISMS, _solve_sweep, check_viability,
                           solve_all, solve_ne)
 from .markets import verify_ce
 from .numerics import ConvergenceError, NoEquilibriumError
-from .pipeline import ScenarioConfigError, load_scenario
+from .pipeline import load_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -268,8 +269,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioConfigError, NoEquilibriumError, ConvergenceError,
-            ValueError, OSError) as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

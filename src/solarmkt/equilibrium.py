@@ -11,10 +11,11 @@ holds exactly rather than to solver tolerance.
 
 A scenario is immutable, so each design is solved at most once per
 scenario instance: ``solve_ne`` keeps its results on the scenario,
-``opt`` reads ``prt``'s, and at premium scale 0 both read ``srt``'s.  A
-sweep (``_solve_sweep``) stores the results
-its points share before solving them.  Only this module touches that
-store.
+``opt`` reads ``prt``'s, and at premium scale 0 both read ``srt``'s.
+The ``srt`` capacity is also the zero-premium buyer's demand at the
+cost-recovering price, the lowest breakpoint of contract demand, so
+``cb`` reads it too.  A sweep (``_solve_sweep``) stores the results its
+points share before solving them.  Only this module touches that store.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass, replace
 
 from .markets import (Scenario, _capacity_search, _cb_demands,
                       _check_mechanism, _check_nonneg, _rt_window_value,
-                      _scarcity_integral, _scarcity_moments,
-                      aggregate_demand_cb, revenue_rt)
+                      _scarcity_integral, _scarcity_moments, revenue_rt)
 
 __all__ = [
     "EquilibriumResult",
@@ -88,8 +88,10 @@ def _viability(scenario: Scenario, mechanism: str) -> tuple[bool, float]:
 def _solve_characteristic(scenario: Scenario,
                           mechanism: str) -> EquilibriumResult:
     """Largest capacity whose window value, A(c) plus eps R1(c) under
-    ``prt``, still reaches pi*: a ``cb`` buyer's demand search (at scale
-    0 it is the zero-premium buyer's demand, bit for bit)."""
+    ``prt``, still reaches pi*: a ``cb`` buyer's demand search.  The
+    ``srt`` capacity (and at scale 0 the ``prt`` one) is the zero-premium
+    buyer's demand at pi*, bit for bit, 0.0 where not viable; ``cb``
+    reads it as its lowest breakpoint."""
     viable, margin = _viability(scenario, mechanism)
     if not viable:
         return EquilibriumResult(mechanism=mechanism, capacity=0.0,
@@ -107,14 +109,18 @@ def _solve_characteristic(scenario: Scenario,
 def _solve_cb(scenario: Scenario) -> EquilibriumResult:
     """Capacity demanded at the rental price that just recovers capital cost.
 
-    The capacity is one evaluation of aggregate rental demand at pi*
+    The capacity is aggregate rental demand at pi*
     (``Scenario.cost_recovering_price``), so its zero-profit residual is
-    zero by construction.  No clearing solve is needed; ``clear_cb``
-    serves verification and the library API, and at this capacity it
-    certifies pi* as the clearing price.
+    zero by construction.  Its lowest breakpoint, the zero-premium
+    buyer's demand, is the ``srt`` capacity, so c_cb is c_srt plus the
+    premium buyers' layer cake (``markets._cb_demands``) and only the
+    positive premium knots are searched here.  No clearing solve is
+    needed; ``clear_cb`` serves verification and the library API, and
+    at this capacity it certifies pi* as the clearing price.
     """
-    return _cb_result(scenario, aggregate_demand_cb(
-        scenario, scenario.cost_recovering_price))
+    t1 = solve_ne(scenario, "srt").capacity
+    return _cb_result(scenario, _cb_demands(
+        scenario, [(scenario.premium, scenario.cost_recovering_price, t1)])[0])
 
 
 def _cb_result(scenario: Scenario, capacity: float) -> EquilibriumResult:
@@ -170,15 +176,16 @@ def _solve_sweep(scenario: Scenario, param: str, values,
     "epsilon") or ``scenario.with_pi0(v)`` (``param`` "pi0") for each
     value v, in order.
 
-    The points share the scenario's periods, so the contract market's
-    demands at every point's pi* come from one breakpoint search
-    (``markets._cb_demands``) and are stored on the points first.  An
-    epsilon point differs from the scenario only in its premium, which
-    ``srt`` does not read, so it stores the scenario's own ``srt``
-    result: one search for the whole sweep.  A point at scale 0 stores
-    it even when ``srt`` is not requested, for its ``prt`` and ``opt``
-    are that search (``solve_ne``).  Every result is the same bits as a
-    fresh ``solve_all`` of its point.
+    An epsilon point differs from the scenario only in its premium,
+    which ``srt`` does not read, so every point of an epsilon sweep
+    first stores the scenario's own ``srt`` result: one search for the
+    whole sweep, which ``prt`` and ``opt`` read at scale 0.  The points
+    share the scenario's periods, so the contract market's demands at
+    every point's pi* come from one search of their positive premium
+    knots (``markets._cb_demands``), each point's zero knot being its
+    ``srt`` capacity, and are stored on the points before they are
+    solved.  Every result is the same bits as a fresh ``solve_all`` of
+    its point.
     """
     for m in mechanisms:
         _check_mechanism(m, SOLVE_MECHANISMS)
@@ -186,20 +193,16 @@ def _solve_sweep(scenario: Scenario, param: str, values,
     if param not in derive:
         raise ValueError(f"unknown sweep parameter {param!r}")
     points = [derive[param](v) for v in values]
+    if param == "epsilon":
+        srt = solve_ne(scenario, "srt")
+        for point in points:
+            point._solved["srt"] = srt
     if "cb" in mechanisms:
-        demands = _cb_demands(scenario, [(p.premium, p.cost_recovering_price)
-                                         for p in points])
+        demands = _cb_demands(scenario, [
+            (p.premium, p.cost_recovering_price, solve_ne(p, "srt").capacity)
+            for p in points])
         for point, capacity in zip(points, demands):
             point._solved["cb"] = _cb_result(point, capacity)
-    if param == "epsilon":
-        reads_srt = "srt" in mechanisms
-        at_zero = "prt" in mechanisms or "opt" in mechanisms
-        takers = [p for p in points
-                  if reads_srt or (at_zero and p.premium.epsilon == 0.0)]
-        if takers:
-            srt = solve_ne(scenario, "srt")
-            for point in takers:
-                point._solved["srt"] = srt
     return [solve_all(point, mechanisms) for point in points]
 
 

@@ -451,63 +451,59 @@ def aggregate_demand_cb(scenario: Scenario, pi: float) -> float:
         D(pi) = t1 + integral over [t1, t2] of P(V >= v*(t)) dt,
 
     where t1 and t2 are the demands of the zero-premium and the
-    top-premium buyer.  This is the one-point case of ``_cb_demands``:
-    the demands of the premium knots (``_cb_demand_breaks``), then the
-    integral (``_cb_layer_cake``).  At price 0 every unit is worth
+    top-premium buyer.  This is the one-point case of ``_cb_demands``,
+    with t1 searched as the zero knot.  At price 0 every unit is worth
     renting and the demand is infinite.
     """
-    return _cb_demands(scenario,
-                       [(scenario.premium, _check_nonneg("price", pi))])[0]
+    return _cb_demands(scenario, [(scenario.premium,
+                                   _check_nonneg("price", pi), None)])[0]
 
 
 def _cb_demands(scenario: Scenario, points) -> list[float]:
-    """Aggregate rental demand at several (premium, price) points on the
-    scenario's periods, such as the points of a premium-scale or capital
-    cost sweep at their cost-recovering prices: their breakpoints are
-    searched together, and each point's integral is its own.  A point's
-    demand is the same bits as ``aggregate_demand_cb`` of its scenario."""
+    """Aggregate rental demand at several (premium, price, t1) points on
+    the scenario's periods, such as the points of a premium-scale or
+    capital-cost sweep at their cost-recovering prices: the demands of
+    their premium knots (``_cb_demand_breaks``) are searched together,
+    and each point's integral (``_cb_layer_cake``) is its own.  t1 is
+    the zero-premium buyer's demand at the point's price when the
+    caller holds it (at pi* it is the ``srt`` capacity: the largest d
+    with A(d) >= pi*), or None to search it.  A point's demand is the
+    same bits as ``aggregate_demand_cb`` of its scenario."""
     return [_cb_layer_cake(scenario, prem, pi, breaks)
-            for (prem, pi), breaks in zip(points,
-                                          _cb_demand_breaks(scenario, points))]
+            for (prem, pi, _), breaks in zip(
+                points, _cb_demand_breaks(scenario, points))]
 
 
 def _cb_demand_breaks(scenario: Scenario, points) -> list:
     """The demand of every premium knot, epsilon * knots, at each
-    (premium, price) point on the scenario's periods, in knot order: a
-    list of floats, or an array for a table premium.
+    (premium, price, t1) point on the scenario's periods, in knot order:
+    a list of floats, or an array for a table premium.
 
-    Each distinct (knot premium, price) pair is searched once: the
-    points of a premium-scale sweep share their price, so the
-    zero-premium buyer's demand there is one search for the whole sweep.
-    Scale 0 is one knot, the zero-premium buyer.  A premium of at most
-    two knots searches each knot's demand in plain floats.  The knots of
-    every table premium, at every point, are one array call of
+    The zero knot's demand is t1, searched only when t1 is None; the
+    positive knots, epsilon * knots[1:], are searched (scale 0 has
+    none).  A point with at most two knots to search searches each in
+    plain floats.  The knots of every other point are one array call of
     ``_cb_demand_profile``, each with its own price.
     """
-    found = {}  # (knot premium, price) -> demand, searched in plain floats
-    breaks, tables = [], []
-    for prem, pi in points:
-        if prem.epsilon == 0.0 or prem.knots.size <= 2:
-            levels = ((prem.epsilon * prem.knots).tolist() if prem.epsilon
-                      else [0.0])
-            for v in levels:
-                if (v, pi) not in found:
-                    found[v, pi] = _cb_demand_profile(scenario, v, pi)
-            breaks.append([found[v, pi] for v in levels])
+    breaks, tables, vs, pis = [], [], [], []
+    for prem, pi, t1 in points:
+        known, levels = ([], [0.0]) if t1 is None else ([t1], [])
+        if prem.epsilon:
+            levels += (prem.epsilon * prem.knots[1:]).tolist()
+        if len(levels) <= 2:
+            breaks.append(known + [_cb_demand_profile(scenario, v, pi)
+                                   for v in levels])
         else:
-            tables.append((len(breaks), prem.epsilon * prem.knots, pi))
+            tables.append((len(breaks), known, len(levels)))
             breaks.append(None)
+            vs += levels
+            pis += [pi] * len(levels)
     if tables:
-        # a pair is the complex number v + i pi, so that np.unique keeps
-        # each distinct pair once, its two parts exact
-        pairs, where = np.unique(
-            np.concatenate([vs + complex(0.0, pi) for _, vs, pi in tables]),
-            return_inverse=True)
-        demands = _cb_demand_profile(scenario, pairs.real, pairs.imag)[where]
+        demands = _cb_demand_profile(scenario, vs, pis)
         start = 0
-        for i, vs, _ in tables:
-            breaks[i] = demands[start:start + vs.size]
-            start += vs.size
+        for i, known, n in tables:
+            breaks[i] = np.concatenate((known, demands[start:start + n]))
+            start += n
     return breaks
 
 

@@ -62,17 +62,18 @@ _KDE_BLOCK = 4096
 
 # Where the KDE may leave out its mirror kernel.  The mirror term
 # exp(-0.5 ((s + x) / h)**2) is the direct term exp(-0.5 ((s - x) / h)**2)
-# times exp(-2 s x / h**2).  Where s x >= 19 h**2 that factor is at most
-# e**-38 ~ 3.1e-17, below 2**-54 ~ 5.6e-17, so the mirror is under half an
-# ulp of the direct term (a normal float below 2**(e + 1) has half an ulp
-# of 2**(e - 53)) and their sum rounds back to the direct term.  That needs
-# the direct term normal, which a tile checks by 0.5 ((s - x) / h)**2 <= 700
-# on its widest pair, i.e. |s - x| <= sqrt(1400) h: exp(-700) ~ 1e-304 lies
-# well above the smallest normal float, 2.2e-308.  The computed exponents
-# and the test s / h >= 19 / (x0 / h) round by a few ulps, far inside the
-# margin from e**-38 to 2**-54 ~ e**-37.4.
+# times exp(-2 s x / h**2), so where s x >= 19 h**2 its exponent lies at
+# least 38 below the direct one.  Where the direct term is a normal float,
+# the factor e**-38 ~ 3.1e-17 is below 2**-54 ~ 5.6e-17, so the mirror is
+# under half an ulp of the direct term (a normal float below 2**(e + 1)
+# has half an ulp of 2**(e - 53)) and their sum rounds back to the direct
+# term.  Where the direct term is subnormal or 0, its exponent is at most
+# -708.39 (the smallest normal float is e**-708.39), so the mirror's is
+# below -745.13, where exp returns +0.0, which changes no sum.  The
+# computed exponents and the test s / h >= 19 / (x0 / h) round by a few
+# ulps, far inside both margins: e**-38 against 2**-54 ~ e**-37.4, and
+# -746.39 against -745.13.
 _KDE_MIRROR_NEGLIGIBLE = 19.0
-_KDE_DIRECT_NORMAL = math.sqrt(1400.0)
 
 
 class ScenarioConfigError(ValueError):
@@ -278,7 +279,6 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
     with np.errstate(over="ignore"):
         for start in range(0, samples.size, _KDE_BLOCK):
             block = samples[start:start + _KDE_BLOCK]
-            low, high = float(block[0]), float(block[-1])
             scaled = block / bandwidth  # s / h, ascending
             for r0 in range(0, grid_size, _KDE_TILE_ROWS):
                 rows = grid[r0:r0 + _KDE_TILE_ROWS]
@@ -286,10 +286,9 @@ def fit_generation_kde(samples, bandwidth: float | None = None,
                 np.copyto(z_direct, block)
                 z_direct -= rows[:, None]
                 _gaussian(z_direct, bandwidth)
-                first, last = float(rows[0]), float(rows[-1])
+                first = float(rows[0])
                 need = block.size
-                if first / h > 0.0 and (max(high - first, last - low)
-                                        <= _KDE_DIRECT_NORMAL * h):
+                if first / h > 0.0:
                     need = int(np.searchsorted(
                         scaled, _KDE_MIRROR_NEGLIGIBLE / (first / h)))
                 if need:

@@ -2,13 +2,13 @@
 
 ``equilibrium._solve_sweep`` solves the points that a premium-scale or
 capital-cost sweep derives from one scenario.  The demands of every
-point's premium knots at its pi* are one search (plain floats per knot
-for premiums of at most two knots, one array search for all table
-knots), an epsilon sweep solves ``srt`` once, and every result is the
-same bits as a fresh ``solve_all`` of its point.  At scale 0 ``prt``
-and ``opt`` are the ``srt`` search relabelled, and the zero-premium
-buyer's demand at pi*, shared by every point of an epsilon sweep, is
-one search.
+point's positive premium knots at its pi* are one search (plain floats
+per knot for at most two knots, one array search for all table knots),
+an epsilon sweep solves ``srt`` once, and every result is the same bits
+as a fresh ``solve_all`` of its point.  The ``srt`` capacity is the
+zero-premium buyer's demand at pi*, bit for bit, so ``cb`` reads it for
+its zero knot, and at scale 0 ``prt`` and ``opt`` are that search
+relabelled.
 """
 
 from collections import Counter
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solarmkt import (PremiumDistribution, equilibrium, markets,
-                     ordering_report, solve_all, solve_ne)
+from solarmkt import (PremiumDistribution, check_viability, equilibrium,
+                     markets, ordering_report, solve_all, solve_ne)
 from solarmkt.cli import DEFAULT_EPSILON_GRID
 from solarmkt.equilibrium import _solve_sweep
 from conftest import random_empirical_premium, random_scenario
@@ -69,6 +69,52 @@ def test_ordering_report_searches_table_breakpoints_once(search_calls):
 def test_analytic_premium_reports_make_no_array_search(desk, search_calls):
     ordering_report(desk, DEFAULT_EPSILON_GRID)
     assert search_calls["float"] and not search_calls["array"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_srt_is_the_zero_premium_buyers_demand_at_pi_star(scn):
+    # pi0 shares of the viability threshold period_scale A(0); those
+    # past 1 leave srt, and the zero-premium buyer, out of the market
+    _, margin = check_viability(scn)
+    threshold = scn.pi0 + margin
+    for share in (0.2, 0.6, 0.95, 1.0, 1.05, 1.5, 3.0):
+        point = scn.with_pi0(share * threshold)
+        srt = solve_ne(point, "srt")
+        demand = markets._cb_demand_profile(point, 0.0,
+                                            point.cost_recovering_price)
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(srt.capacity) == repr(demand)
+        if share > 1.0:
+            assert not srt.viable and repr(srt.capacity) == "0.0"
+
+
+def _capacity_searches(monkeypatch) -> list:
+    """Records each ``markets._capacity_search`` call, the one search of
+    the real-time designs (through ``equilibrium``'s import of it) and
+    of a ``cb`` buyer's demand."""
+    calls = []
+    search = markets._capacity_search
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(markets, "_capacity_search", counted)
+    monkeypatch.setattr(equilibrium, "_capacity_search", counted)
+    return calls
+
+
+def test_desk_capacity_search_counts(desk, monkeypatch):
+    calls = _capacity_searches(monkeypatch)
+    # srt, prt and the top premium knot of cb, whose zero knot is srt's
+    # search (opt reads prt's)
+    solve_all(desk)
+    assert len(calls) == 3
+    calls.clear()
+    # the same three per point of a capital-cost sweep
+    _solve_sweep(desk, "pi0", [0.05, 0.075, 0.1, 0.125, 0.15])
+    assert len(calls) == 15
 
 
 def test_an_epsilon_sweep_solves_srt_once(desk, search_calls, monkeypatch):
@@ -127,18 +173,18 @@ def _knot_searches(monkeypatch):
 @pytest.mark.parametrize("premium", [
     PremiumDistribution.uniform(0.6),
     PremiumDistribution.truncated_exponential(12.0, 0.6)])
-def test_a_two_knot_sweep_searches_the_zero_premium_knot_once(
+def test_a_two_knot_sweep_reads_the_zero_premium_knot_from_srt(
         desk, monkeypatch, premium):
     calls = _knot_searches(monkeypatch)
     scn = replace(desk, premium=premium)
     _solve_sweep(scn, "epsilon", DESK_EPSILON_SWEEP, ("cb",))
     pairs = [pair for call in calls for pair in call]
     pi = scn.cost_recovering_price
-    # one float search per call: the zero-premium buyer once, then the
-    # top knot of each positive scale
+    # one float search per call, the top knot of each positive scale: the
+    # zero-premium buyer's demand is the sweep's one srt search
     assert all(len(call) == 1 for call in calls)
-    assert pairs == [(0.0, pi)] + [(e * premium.v_bar, pi)
-                                   for e in DESK_EPSILON_SWEEP if e > 0.0]
+    assert pairs == [(e * premium.v_bar, pi)
+                     for e in DESK_EPSILON_SWEEP if e > 0.0]
 
 
 def test_a_table_sweep_searches_each_knot_pair_once(monkeypatch):
@@ -147,4 +193,5 @@ def test_a_table_sweep_searches_each_knot_pair_once(monkeypatch):
     _solve_sweep(scn, "epsilon", [0.25, 0.5, 1.0], ("cb",))
     (pairs,) = calls
     knots = scn.premium.knots.size
-    assert len(pairs) == len(set(pairs)) == 1 + 3 * (knots - 1)
+    # the positive knots of each scale; the zero knot is srt's search
+    assert len(pairs) == len(set(pairs)) == 3 * (knots - 1)
