@@ -328,6 +328,26 @@ class GenerationDistribution(_SameBits):
         x_cut, w_cut = self._cut_cell(knots[j - 1], hi)
         return np.concatenate((xs[:n], x_cut)), np.concatenate((ws[:n], w_cut))
 
+    def _premium_moment(self, prem: "PremiumDistribution", cut: float):
+        """E[q(G / cut) G; G <= cut] at a float cut (L / c, inf at c = 0),
+        for q the base complementary quantile of prem, in closed form:
+        None unless the output is uniform.
+
+        On [lo, hi], with g = y cut, it is top^2 / (hi - lo) times
+        ``prem._yq_moment(min(lo, cut), top, cut)`` for top = min(hi, cut):
+        a moment of q over the window of served fractions [lo, top] / cut,
+        divided by (top / cut)^2, so that neither a tiny c underflows nor
+        cut^2 overflows.  At c = 0 every output is scarce and served at
+        q(0) = v_bar, so it is v_bar times the mean.
+        """
+        if self.kind != "uniform":
+            return None
+        if cut == math.inf:
+            return prem.v_bar * self.mean
+        top = min(self.hi, cut)
+        return (top * top * prem._yq_moment(min(self.lo, cut), top, cut)
+                / (self.hi - self.lo))
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n realizations.
 
@@ -358,6 +378,72 @@ _TEXP_SERIES_CUT = 4.0e-3
 #: about 2/r-fold, the terms to n = 17 leave under 1e-17 of f.
 _F_SERIES_CUT = 0.1
 _F_SERIES = tuple((-1.0) ** n / (n * (n - 1)) for n in range(17, 1, -1))
+
+#: K(z) / z^2, for K(z) the integral of w log1p(w) over [0, z], is
+#: 3w/4 + w (3w - 1)(w + 1) S(w^2) / 4 with w = z / (2 + z) and
+#: S(v) = sum over m >= 0 of v^m / (2m + 3) (log1p(z) = 2 atanh(w)).
+#: The closed form cancels about 1/z-fold below z = 1/2, so there the
+#: series is taken: w <= 1/5, and the terms to m = 12 leave under 1e-18.
+_K_SERIES_CUT = 0.5
+_K_SERIES = tuple(1.0 / (2 * m + 3) for m in range(12, -1, -1))
+
+#: Above this rate * v_bar a truncated-exponential quantile moment is
+#: taken in t = 1 - (1 - y) k, where q = -log(t) / rate, once t has grown
+#: to 5 t0; below it, and before that, x/2 - K(z)/z^2 cancels at most a
+#: few-fold.
+_TEXP_T_FORM_CUT = 4.0
+
+#: Gauss-Legendre order of a truncated-exponential moment over [a, b] in
+#: [1/2, 1]: the error falls as (3 + sqrt 8)^(-2 order), 4e-19 at 12.
+_TEXP_TAIL_ORDER = 12
+
+
+def _running_sums(terms: list[float]) -> list[float]:
+    """0 and the running sums of non-negative terms, each compensated
+    (Neumaier): within about an ulp, where a plain cumulative sum drifts
+    with the count, so their differences stay exact to rounding."""
+    sums, total, carry = [0.0], 0.0, 0.0
+    for term in terms:
+        step = total + term
+        carry += (total - step) + term if total >= term else (term - step) + total
+        total = step
+        sums.append(total + carry)
+    return sums
+
+
+def _linear_yq_moment(scale, width, y0, q0, y1, q1):
+    """The integral of y q over a window of the given width whose ends
+    have y0, q0 and y1, q1, with y and q linear across it, divided by
+    scale^2: Simpson's rule, exact for this quadratic, as a sum of
+    non-negative terms in ratios to scale."""
+    return (width / scale * (y0 / scale * (2.0 * q0 + q1)
+                             + y1 / scale * (q0 + 2.0 * q1)) / 6.0)
+
+
+def _window_moment(xs, vs, sums, x0, x1, scale, mirror):
+    """The integral over x in [x0, x1] of y v(x), divided by scale^2, for
+    v linear between the increasing nodes xs with the values vs, and y
+    = 1 - x if mirror else x; sums holds the integral from xs[0] up to
+    each node.  The cut cells at x0 and x1 are exact
+    (``_linear_yq_moment``); the whole cells between are a difference
+    of sums."""
+    last = len(xs) - 2
+
+    def at(x):
+        i = min(bisect_right(xs, x) - 1, last)
+        return i, vs[i] + (vs[i + 1] - vs[i]) * ((x - xs[i]) / (xs[i + 1] - xs[i]))
+
+    def y(x):
+        return 1.0 - x if mirror else x
+
+    i, v0 = at(x0)
+    j, v1 = at(x1)
+    if i == j:
+        return _linear_yq_moment(scale, x1 - x0, y(x0), v0, y(x1), v1)
+    return ((sums[j] - sums[i + 1]) / (scale * scale)
+            + _linear_yq_moment(scale, xs[i + 1] - x0, y(x0), v0,
+                                y(xs[i + 1]), vs[i + 1])
+            + _linear_yq_moment(scale, x1 - xs[j], y(xs[j]), vs[j], y(x1), v1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,6 +662,103 @@ class PremiumDistribution(_SameBits):
         part = 0.5 * (self.base_complementary_quantile(p0)
                       + self.base_complementary_quantile(s)) * (s - p0)
         return self._icq_table[j] + part
+
+    def _yq_moment(self, g0: float, g1: float, r: float) -> float:
+        """The integral of y q(y) over the served fractions y in
+        [g0 / r, g1 / r], divided by (g1 / r)^2, for q the base
+        complementary quantile and floats 0 <= g0 <= g1 <= r; plain floats.
+
+        Output uniform on [lo, hi] reads it at r = L / c, g0 = min(lo, r)
+        and g1 = min(hi, r) (``GenerationDistribution._premium_moment``).
+        With a = g0 / r, b = g1 / r and M(u) the integral over [0, u], it
+        is M(b)/b^2 - (a/b)^2 M(a)/a^2, in ratios to b so that a tiny b
+        underflows nowhere; at a = 0 it is the integral of s q(b s) over
+        s in [0, 1], which is q(0) / 2 = v_bar / 2 at b = 0.  From a = 1/2
+        up, where q falls towards q(1) = 0 and M(b) - M(a) would cancel,
+        it is taken over the window itself, in the levels p = 1 - y read
+        as (r - g) / r, which do not round away as y nears 1.
+        """
+        a, b = g0 / r, g1 / r
+        if not b:
+            return 0.5 * self.v_bar
+        pa, pb = (r - g0) / r, (r - g1) / r
+        head = a < 0.5
+        if self.kind == "uniform":  # y q(y) = v_bar y (1 - y) is quadratic
+            return self.v_bar * _linear_yq_moment(
+                b, b - a if head else pa - pb, a, pa, b, pb)
+        if self.kind == "empirical":
+            ys, qs, heads, ps, levels, tails = self._yq_table
+            if head:
+                return _window_moment(ys, qs, heads, a, b, b, False)
+            return _window_moment(ps, levels, tails, pb, pa, b, True)
+        if not head:
+            return self._texp_yq_tail(pa, pb, b)
+        moment = self._texp_yq_head(b)
+        return moment - (a / b) ** 2 * self._texp_yq_head(a) if a else moment
+
+    @cached_property
+    def _yq_table(self):
+        """An empirical quantile as lists of floats, twice: its kinks
+        y = 1 - ``_p_grid`` in increasing order, q at each and the
+        integral of y q(y) from 0 up to each; and the levels ``_p_grid``,
+        the table at each and the integral from p = 0 (y = 1) up to each.
+        Each cell is exact (``_linear_yq_moment``), each running sum
+        compensated (``_running_sums``)."""
+        ps, table = self._p_grid, self.quantiles
+        cells = (np.diff(ps) / 6.0
+                 * ((1.0 - ps[:-1]) * (2.0 * table[:-1] + table[1:])
+                    + (1.0 - ps[1:]) * (table[:-1] + 2.0 * table[1:])))
+        return ((1.0 - ps[::-1]).tolist(), table[::-1].tolist(),
+                _running_sums(cells[::-1].tolist()), ps.tolist(),
+                table.tolist(), _running_sums(cells.tolist()))
+
+    def _texp_yq_head(self, u: float) -> float:
+        """M(u) / u^2 of a truncated exponential, 0 < u <= 1.
+
+        With x = rate v_bar, k = 1 - e^-x and t0 = e^-x, the quantile is
+        q(y) = (x - log1p(z y / u)) / rate for z = u (e^x - 1), so
+        M(u) / u^2 = (x/2 - K(z)/z^2) / rate (see ``_K_SERIES``).  For
+        steep premiums (x > ``_TEXP_T_FORM_CUT``) that cancels about
+        x-fold once z passes 4; there q = -log(t) / rate in t = t0 + k y,
+        from t0 to t1 = t0 + d with d = k u, and
+        M(u) / u^2 = -(F(t1) - F(t0)) / (rate d^2) for the antiderivative
+        F(t) = t^2 log(t) / 2 - t^2 / 4 - t0 (t log t - t) of
+        (t - t0) log t, taken in t1 / d and t0 / d so that nothing
+        underflows; F(t0) = t0^2 (x/2 + 3/4).
+        """
+        x = self.rate * self.v_bar
+        t0 = math.exp(-x)
+        d = self._texp_k * u
+        if x > _TEXP_T_FORM_CUT and d > 4.0 * t0:
+            r, s = (t0 + d) / d, t0 / d
+            f = ((0.5 * r - s) * r * math.log(t0 + d) - 0.25 * r * r + s * r
+                 - s * s * (0.5 * x + 0.75))
+            return -f / self.rate
+        z = d / t0
+        if z > _K_SERIES_CUT:
+            lp = math.log1p(z)
+            kz = 0.5 * lp - 0.25 + 0.5 * (z - lp) / (z * z)
+        else:
+            w = z / (2.0 + z)
+            v, s = w * w, 0.0
+            for coef in _K_SERIES:
+                s = s * v + coef
+            kz = 0.75 * w + 0.25 * w * (3.0 * w - 1.0) * (w + 1.0) * s
+        return (0.5 * x - kz) / self.rate
+
+    def _texp_yq_tail(self, pa: float, pb: float, b: float) -> float:
+        """``_yq_moment`` of a truncated exponential over the levels
+        p = 1 - y in [pb, pa], pa <= 1/2, by Gauss-Legendre:
+        q = -log1p(-p k) / rate has its singularity at p = 1 / k >= 1,
+        three half-widths or more from the middle, so
+        ``_TEXP_TAIL_ORDER`` nodes are exact to rounding."""
+        half, k = 0.5 * (pa - pb), self._texp_k
+        nodes, weights = _leggauss(_TEXP_TAIL_ORDER)
+        total = 0.0
+        for x, w in zip(nodes.tolist(), weights.tolist()):
+            p = pb + half * (1.0 + x)
+            total += w * (1.0 - p) * math.log1p(-p * k)
+        return -half * total / (self.rate * b * b)
 
     def survival(self, v, *, weak: bool = False):
         """P(V > v), or P(V >= v) when weak=True (differs only at atoms)."""

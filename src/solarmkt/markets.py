@@ -117,6 +117,15 @@ class Scenario:
             p.load / p.generation.knots[p.generation.knots > 0.0]
             for p in self.periods]))
 
+    @cached_property
+    def _tabled_periods(self) -> tuple[PeriodProfile, ...]:
+        """The lit periods whose premium revenue has no closed form
+        (``GenerationDistribution._premium_moment`` is None), in order:
+        ``_premium_revenue`` integrates them on Gauss nodes."""
+        return tuple(p for p in self.periods if p.generation.support_hi > 0.0
+                     and p.generation._premium_moment(self.premium, math.inf)
+                     is None)
+
     @property
     def capacity_scale(self) -> float:
         """Largest per-period L / E[G]: the capacity that covers mean load."""
@@ -255,20 +264,21 @@ def _covered_energy(scenario: Scenario, d):
     return a, b
 
 
-def _scarcity_integral(scenario: Scenario, c: float, kernel,
-                       integrand) -> float:
+def _scarcity_integral(scenario: Scenario, c: float, kernel, integrand,
+                       periods=None) -> float:
     """Weighted sum over periods of
-    E[integrand(period, kernel(frac), G); c G <= L].
+    E[integrand(period, kernel(frac), G); c G <= L], on Gauss nodes.
 
     ``frac = c G / L`` is the served fraction of the load, capped at 1
-    (it is never negative).  The premium terms of the differentiated
-    revenue, of its first-order slope and of welfare are all this one
-    integral with different premium kernels and integrands.  The kernel
-    is called once, on the nodes of every lit period together; dark
-    periods, with no output, add 0.
+    (it is never negative).  The premium value of welfare and, on output
+    with no closed form, the premium revenue (``_premium_revenue``) are
+    this one integral with different premium kernels and integrands.
+    The periods are the scenario's, or ``periods`` (a subset, in order).
+    The kernel is called once, on the nodes of every lit period
+    together; dark periods, with no output, add 0.
     """
     lit, fracs = [], []
-    for period in scenario.periods:
+    for period in scenario.periods if periods is None else periods:
         gen, load = period.generation, period.load
         if gen.support_hi <= 0.0:
             continue
@@ -290,12 +300,28 @@ def _scarcity_integral(scenario: Scenario, c: float, kernel,
 
 
 def _premium_revenue(scenario: Scenario, c: float) -> float:
-    """R1(c): premium revenue per unit capacity and planning window at
-    premium scale 1, before the lifetime scaling.  The served fractions
-    of ``_scarcity_integral`` lie in [0, 1], so the premium kernel takes
-    them unchecked."""
-    return _scarcity_integral(scenario, c, scenario.premium._base_cq,
-                              lambda period, q, g: q * g)
+    """R1(c) = sum w E[q(c G / L) G; c G <= L]: premium revenue per unit
+    capacity and planning window at premium scale 1, before the lifetime
+    scaling, for q the base complementary quantile.
+
+    A period with uniform output adds its closed form
+    (``GenerationDistribution._premium_moment``), with no quadrature.
+    The others (``Scenario._tabled_periods``) are one
+    ``_scarcity_integral``, added last; its served fractions lie in
+    [0, 1], so the premium kernel takes them unchecked.
+    """
+    prem = scenario.premium
+    total = 0.0
+    for period in scenario.periods:
+        term = period.generation._premium_moment(
+            prem, period.load / c if c else math.inf)
+        if term is not None:
+            total += period.weight * term
+    tabled = scenario._tabled_periods
+    if tabled:
+        total += _scarcity_integral(scenario, c, prem._base_cq,
+                                    lambda period, q, g: q * g, tabled)
+    return total
 
 
 def _rt_window_value(scenario: Scenario, mechanism: str, c: float) -> float:

@@ -169,9 +169,10 @@ def _welfare_argmax(scenario, h=1e-5):
 
 
 def test_welfare_maximizer_found_independently_is_the_prt_capacity(tmp_path):
-    # welfare's premium term integrates the integrated quantile, revenue's
-    # the quantile itself: only the node set is shared, so this catches a
-    # fault in either that the identity prt == opt cannot
+    # welfare's premium term integrates the integrated quantile on Gauss
+    # nodes; revenue takes the quantile's closed-form moment on uniform
+    # output and shares only the node set on tabulated output: so this
+    # catches a fault in either that the identity prt == opt cannot
     rng = np.random.default_rng(8)
     scenarios = [desk_scenario(), two_period_scenario(),
                  load_scenario(_write_california_fixtures(tmp_path))]

@@ -28,11 +28,11 @@ COMMANDS = {
 }
 
 DIGESTS = {
-    "solve": ["89e0b091f877412e36b53977a4cc4d70843f2fe5066e43d1625fb3745e14716b"],
+    "solve": ["d66a6d495eafc4972750b97fd78dae88cf512f98942c12a06b1eb5b65b6298c3"],
     "sweep epsilon":
-        ["4a985587ccdbc17cdb5fc2b157247875f8db87d493badd2350cb18bbde6236aa"],
+        ["20cb6796630d7b5899e65aef7b8884f4237ade5fa1d2342370eecf92dda5b963"],
     "report": ["76e0ef86fbdd054a7d467bfccf1f51ad54d8c5569beb589f091f810412046f9f",
-               "195cbacbb619d2e4d76bb33ce96c496f390c9152b73d5f1a219d67cfc4f24cea"],
+               "a956b9d337b51d15f630198b782c4084a4def1f3695702e2119bf74324040807"],
     "verify cb":
         ["88880768d09908f759091ec5a6c6cbea4836f0fa69b4209656cfc97dc1606d2c"],
 }
