@@ -7,13 +7,16 @@ extra per-kWh valuation buyers place on solar over utility energy,
 modelled as ``eps`` times a fixed base distribution so the whole premium
 population can be scaled up or down with one knob.
 
-Both models expose exactly the transforms the clearing and investment
-equations consume: the truncated mean ``E[G 1{dG <= L}]``,
-complementary quantiles, their partial integrals, and density/moment
-lookups.  The classic idealization of a generation density
-positive on all of the half-line is deliberately not enforced: tabulated
-densities live on a bounded grid and a point mass at zero represents
-night hours, so bounded supports are first-class here.
+Both models expose the transforms the clearing and investment equations
+consume: partial first moments of the output, quadrature nodes for
+expectations under scarcity, complementary quantiles of the premium,
+their partial integrals and the quantile moments of the premium
+revenue.  The truncated mean ``E[G 1{dG <= L}]`` is kept for callers
+outside the solver (the benchmark times it); no equation reads it.
+The classic idealization of a generation density positive on all of
+the half-line is deliberately not enforced: tabulated densities live on
+a bounded grid and a point mass at zero represents night hours, so
+bounded supports are first-class here.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import _leggauss, gauss_legendre_panels, gauss_legendre_rule
+from .numerics import _leggauss, gauss_legendre_panels
 
 __all__ = [
     "GenerationDistribution",
@@ -303,14 +306,18 @@ class GenerationDistribution(_SameBits):
 
         Weights absorb the density, so ``weights @ h(nodes)`` is the
         (partial) expectation.  Uniform output gets one 64-node Gauss
-        panel; tabulated output gets per-cell panels between its knots,
-        so the piecewise-linear density is integrated exactly.  Those
-        cells come from ``_cell_rule``, built once; only a cell that hi
-        cuts is laid anew.  The arrays may be read-only views of that
-        table.
+        panel, which only ``welfare`` reads (the premium revenue has a
+        closed form there, ``_premium_moment``); tabulated output gets
+        per-cell panels between its knots, so the piecewise-linear
+        density is integrated exactly.  Those cells come from
+        ``_cell_rule``, built once; only a cell that hi cuts is laid
+        anew.  The arrays may be read-only views of that table.
         """
         if self.kind == "uniform":
-            x, w = gauss_legendre_rule(self.lo, min(hi, self.hi))
+            top = min(hi, self.hi)
+            if top <= self.lo:
+                return np.empty(0), np.empty(0)
+            x, w = gauss_legendre_panels((self.lo, top), 64)
             return x, w / (self.hi - self.lo)
         if self.kind == "point_mass":
             if self.value <= hi:
@@ -368,10 +375,18 @@ class GenerationDistribution(_SameBits):
 _CELL_ORDER = 4
 
 
-#: Below this rate * v_bar the truncated-exponential mean takes the
-#: series v_bar (1/2 - x/12 + x^3/720); its first dropped term,
-#: x^5/30240, is below half an ulp of the mean there.
-_TEXP_SERIES_CUT = 4.0e-3
+#: Up to this rate * v_bar the truncated-exponential mean, v_bar times
+#: 1/x - 1/expm1(x), which cancels about 2/x-fold, is taken as
+#: v_bar (1/2 - x S(x^2)) with S(v) the sum over n = 1..10 of
+#: B_2n v^(n-1) / (2n)!, B_2n the Bernoulli numbers.  The series
+#: converges for x < 2 pi; at x = 1 its first dropped term is under
+#: 2e-17 of the mean, and above 1 the closed form cancels at most
+#: 2.4-fold.
+_TEXP_SERIES_CUT = 1.0
+_TEXP_MEAN_SERIES = tuple(
+    num / (den * math.factorial(2 * n)) for n, (num, den) in enumerate(
+        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+         (7, 6), (-3617, 510), (43867, 798), (-174611, 330)), 1))[::-1]
 
 #: f(r) = (1 + r) log1p(r) - r is the sum over n >= 2 of
 #: (-1)^n r^n / (n (n - 1)); at r <= 0.1, where the closed form cancels
@@ -379,17 +394,19 @@ _TEXP_SERIES_CUT = 4.0e-3
 _F_SERIES_CUT = 0.1
 _F_SERIES = tuple((-1.0) ** n / (n * (n - 1)) for n in range(17, 1, -1))
 
-#: K(z) / z^2, for K(z) the integral of w log1p(w) over [0, z], is
-#: 3w/4 + w (3w - 1)(w + 1) S(w^2) / 4 with w = z / (2 + z) and
-#: S(v) = sum over m >= 0 of v^m / (2m + 3) (log1p(z) = 2 atanh(w)).
-#: The closed form cancels about 1/z-fold below z = 1/2, so there the
-#: series is taken: w <= 1/5, and the terms to m = 12 leave under 1e-18.
-_K_SERIES_CUT = 0.5
-_K_SERIES = tuple(1.0 / (2 * m + 3) for m in range(12, -1, -1))
+#: H(z), the integral of s log((1 + z) / (1 + z s)) over s in [0, 1],
+#: is 1/4 - (z - log1p(z)) / (2 z^2), and also w (1 + (1 - w)^2 S(w^2)) / 4
+#: with w = z / (2 + z) and S(v) the sum over m >= 0 of v^m / (2m + 3)
+#: (log1p(z) = 2 atanh(w)), a sum of positive terms.  The closed form
+#: cancels about 1/z-fold below z = 1 and 2.6-fold at 1, so up to there
+#: the series is taken: w <= 1/3, and the terms to m = 17 leave under
+#: 1e-18.
+_K_SERIES_CUT = 1.0
+_K_SERIES = tuple(1.0 / (2 * m + 3) for m in range(17, -1, -1))
 
 #: Above this rate * v_bar a truncated-exponential quantile moment is
 #: taken in t = 1 - (1 - y) k, where q = -log(t) / rate, once t has grown
-#: to 5 t0; below it, and before that, x/2 - K(z)/z^2 cancels at most a
+#: to 5 t0; below it, and before that, x - log1p(z) cancels at most a
 #: few-fold.
 _TEXP_T_FORM_CUT = 4.0
 
@@ -507,7 +524,14 @@ class PremiumDistribution(_SameBits):
 
     def with_epsilon(self, epsilon: float) -> "PremiumDistribution":
         self._check_common(self.v_bar, epsilon)
-        return replace(self, epsilon=float(epsilon))
+        scaled = replace(self, epsilon=float(epsilon))
+        # The cached properties describe the unscaled base premium, so the
+        # ones built so far carry over.  This holds only while no cached
+        # property reads epsilon.
+        own = {f.name for f in fields(self)}
+        vars(scaled).update((name, value) for name, value in vars(self).items()
+                            if name not in own)
+        return scaled
 
     # -- unscaled base distribution ------------------------------------
 
@@ -564,17 +588,6 @@ class PremiumDistribution(_SameBits):
             return np.minimum(out, self.v_bar)
         return np.interp(1.0 - p, self._p_grid, self.quantiles)
 
-    def base_complementary_quantile_derivative(self, p):
-        """d/dp of the base inverse survival; ValueError for an empirical
-        table, which is piecewise linear."""
-        p = np.asarray(p, dtype=float)
-        if self.kind == "uniform":
-            return np.full_like(p, -self.v_bar)
-        if self.kind == "truncated_exponential":
-            return -self._texp_k / (self.rate * (1.0 - (1.0 - p) * self._texp_k))
-        raise ValueError("an empirical premium's quantile is piecewise "
-                         "linear; it has no derivative at the table nodes")
-
     @cached_property
     def base_mean(self) -> float:
         if self.kind == "uniform":
@@ -583,8 +596,11 @@ class PremiumDistribution(_SameBits):
             x = self.rate * self.v_bar
             if x > 700.0:  # expm1 overflow; truncation correction is 0 there
                 return 1.0 / self.rate
-            if x < _TEXP_SERIES_CUT:  # 1/x - 1/expm1(x) cancels here
-                return self.v_bar * (0.5 - x / 12.0 + x ** 3 / 720.0)
+            if x <= _TEXP_SERIES_CUT:
+                v, s = x * x, 0.0
+                for coef in _TEXP_MEAN_SERIES:
+                    s = s * v + coef
+                return self.v_bar * (0.5 - x * s)
             return 1.0 / self.rate - self.v_bar / math.expm1(x)
         q = self.quantiles
         return float(np.trapezoid(q, self._p_grid))
@@ -717,10 +733,14 @@ class PremiumDistribution(_SameBits):
 
         With x = rate v_bar, k = 1 - e^-x and t0 = e^-x, the quantile is
         q(y) = (x - log1p(z y / u)) / rate for z = u (e^x - 1), so
-        M(u) / u^2 = (x/2 - K(z)/z^2) / rate (see ``_K_SERIES``).  For
-        steep premiums (x > ``_TEXP_T_FORM_CUT``) that cancels about
-        x-fold once z passes 4; there q = -log(t) / rate in t = t0 + k y,
-        from t0 to t1 = t0 + d with d = k u, and
+        M(u) / u^2 = (rate q(u) / 2 + H(z)) / rate, two non-negative
+        terms (H: see ``_K_SERIES``).  rate q(u) = -log(t1), t1 = t0 + k u,
+        is x - log1p(z) below u = 1/2 and -log1p(-(1 - u) k) from 1/2 up,
+        where 1 - u is exact, so it is 0 at u = 1.  For steep premiums
+        (x > ``_TEXP_T_FORM_CUT``) with z past 4, x - log1p(z) cancels
+        about x-fold and z overflows from x = 710 up; there
+        q = -log(t) / rate in t = t0 + k y, from t0 to t1 = t0 + d with
+        d = k u, and
         M(u) / u^2 = -(F(t1) - F(t0)) / (rate d^2) for the antiderivative
         F(t) = t^2 log(t) / 2 - t^2 / 4 - t0 (t log t - t) of
         (t - t0) log t, taken in t1 / d and t0 / d so that nothing
@@ -728,23 +748,26 @@ class PremiumDistribution(_SameBits):
         """
         x = self.rate * self.v_bar
         t0 = math.exp(-x)
-        d = self._texp_k * u
+        k = self._texp_k
+        d = k * u
+        high = u >= 0.5
+        log_t1 = math.log1p(-(1.0 - u) * k) if high else math.log(t0 + d)
         if x > _TEXP_T_FORM_CUT and d > 4.0 * t0:
             r, s = (t0 + d) / d, t0 / d
-            f = ((0.5 * r - s) * r * math.log(t0 + d) - 0.25 * r * r + s * r
+            f = ((0.5 * r - s) * r * log_t1 - 0.25 * r * r + s * r
                  - s * s * (0.5 * x + 0.75))
             return -f / self.rate
-        z = d / t0
+        z = math.expm1(x) * u if x <= _TEXP_T_FORM_CUT else d / t0
+        lp = math.log1p(z)
         if z > _K_SERIES_CUT:
-            lp = math.log1p(z)
-            kz = 0.5 * lp - 0.25 + 0.5 * (z - lp) / (z * z)
+            h = 0.25 - 0.5 * (z - lp) / (z * z)
         else:
             w = z / (2.0 + z)
             v, s = w * w, 0.0
             for coef in _K_SERIES:
                 s = s * v + coef
-            kz = 0.75 * w + 0.25 * w * (3.0 * w - 1.0) * (w + 1.0) * s
-        return (0.5 * x - kz) / self.rate
+            h = 0.25 * w * (1.0 + (1.0 - w) * (1.0 - w) * s)
+        return (0.5 * (-log_t1 if high else x - lp) + h) / self.rate
 
     def _texp_yq_tail(self, pa: float, pb: float, b: float) -> float:
         """``_yq_moment`` of a truncated exponential over the levels
@@ -803,23 +826,12 @@ def lambda_ratio(prem: PremiumDistribution) -> float:
     """Quantile-shape ratio of the premium distribution, in (0, 1).
 
     int -q'(p) p^2 dp / int -q'(p) p dp for the base complementary
-    quantile q; invariant under the premium scale.  An empirical table's
-    q is piecewise linear, so by parts with q(1) = 0 the ratio is
-    2 int p q dp / int q dp, exact on order-2 Gauss panels between nodes.
+    quantile q; invariant under the premium scale.  By parts, with
+    q(1) = 0, it is 2 int p q dp / int q dp: twice the quantile moment
+    ``_yq_moment`` over all of [0, 1], exact for every premium kind, over
+    the base mean.
     """
-    if prem.kind == "empirical":
-        p, w = gauss_legendre_panels(prem._p_grid, 2)
-        q = prem.base_complementary_quantile(p)
-        num = 2.0 * float(w @ (p * q))
-        den = float(w @ q)
-    else:
-        p, w = gauss_legendre_rule(0.0, 1.0, 128)
-        slope = -np.asarray(prem.base_complementary_quantile_derivative(p))
-        num = float(w @ (slope * p * p))
-        den = float(w @ (slope * p))
-    if den <= 0.0:
-        raise ValueError("premium quantile is not strictly decreasing")
-    return num / den
+    return 2.0 * prem._yq_moment(0.0, 1.0, 1.0) / prem.base_mean
 
 
 @dataclass(frozen=True)

@@ -116,30 +116,6 @@ def test_lambda_scale_invariant():
             lambda_ratio(base), abs=1e-14)
 
 
-def test_lambda_empirical_matches_dense_difference_oracle():
-    rng = np.random.default_rng(17)
-    samples = np.sort(rng.uniform(0.0, 0.8, 300))
-    prem = PremiumDistribution.empirical(samples)
-    # oracle: independent dense-grid differentiation of the quantile curve
-    p = np.linspace(0.0, 1.0, 20001)
-    q = np.asarray(prem.base_complementary_quantile(p))
-    slope = -np.gradient(q, p)
-    num = np.trapezoid(slope * p * p, p)
-    den = np.trapezoid(slope * p, p)
-    assert lambda_ratio(prem) == pytest.approx(num / den, abs=1e-4)
-    # exact reference: the table's complementary quantile is linear on each
-    # cell between p = k/n, so int -q' p^j dp sums per-cell slopes times the
-    # cell's integral of p^j
-    q_nodes = prem.quantiles[::-1]
-    p_nodes = np.linspace(0.0, 1.0, q_nodes.size)
-    cell_slope = -np.diff(q_nodes) / np.diff(p_nodes)
-    num = np.sum(cell_slope * np.diff(p_nodes ** 3)) / 3.0
-    den = np.sum(cell_slope * np.diff(p_nodes ** 2)) / 2.0
-    assert lambda_ratio(prem) == pytest.approx(num / den, rel=1e-12)
-    with pytest.raises(ValueError, match="no derivative"):
-        prem.base_complementary_quantile_derivative(p)
-
-
 def test_lambda_rejects_degenerate():
     # a premium without spread, where lambda is undefined, is not built
     with pytest.raises(ValueError, match="v_bar must be positive"):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -220,6 +221,39 @@ def test_scale_doubling_is_exact():
         one = np.asarray(make(1.0).complementary_quantile(p))
         two = np.asarray(make(2.0).complementary_quantile(p))
         assert np.array_equal(two, 2.0 * one)
+
+
+def _bits(value):
+    """A value's bits: arrays as dtype, shape and bytes, floats as hex."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return float(value).hex()
+
+
+def test_with_epsilon_carries_every_cached_table_over():
+    names = sorted(name for name, attr in vars(PremiumDistribution).items()
+                   if isinstance(attr, cached_property))
+    carried = set()
+    for make in (lambda e: uniform_premium(epsilon=e),
+                 lambda e: PremiumDistribution.truncated_exponential(8.0, 0.5, e),
+                 lambda e: PremiumDistribution.empirical(
+                     [0.05, 0.3, 0.3, 0.31, 0.6], epsilon=e)):
+        base = make(1.0)
+        for name in names:  # a table some kind does not have fails to build
+            try:
+                getattr(base, name)
+            except AttributeError:
+                pass
+        built = [name for name in names if name in vars(base)]
+        scaled, fresh = base.with_epsilon(0.25), make(0.25)
+        assert scaled == fresh
+        for name in built:
+            assert name in vars(scaled), name
+            assert _bits(vars(scaled)[name]) == _bits(getattr(fresh, name)), name
+        carried.update(built)
+    assert carried == set(names)
 
 
 def test_survival_inverts_complementary_quantile():

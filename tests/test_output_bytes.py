@@ -28,7 +28,7 @@ COMMANDS = {
 }
 
 DIGESTS = {
-    "solve": ["d66a6d495eafc4972750b97fd78dae88cf512f98942c12a06b1eb5b65b6298c3"],
+    "solve": ["f09e8b8ff2f695d182d3384496e61983049f8b8a0b4c2ef303018afd0f03e1cc"],
     "sweep epsilon":
         ["20cb6796630d7b5899e65aef7b8884f4237ade5fa1d2342370eecf92dda5b963"],
     "report": ["76e0ef86fbdd054a7d467bfccf1f51ad54d8c5569beb589f091f810412046f9f",

@@ -7,7 +7,8 @@ quantile.  ``PremiumDistribution._yq_moment(a, b, 1)`` is
 (M(b) - M(a)) / b^2.
 Its references here share no code with the package: exact fractions
 for the piecewise-linear quantiles, 50-digit mpmath for the truncated
-exponential.  R1 and the ``prt`` capacity are held against Gauss panels
+exponential.  The same references give lambda, which is
+2 M(1) / (the base mean) by parts, and the truncated-exponential mean.  R1 and the ``prt`` capacity are held against Gauss panels
 broken at every kink of the integrand, and the desk commands make no
 quadrature at all.
 """
@@ -25,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from solarmkt import (GenerationDistribution, PeriodProfile,
-                      PremiumDistribution, Scenario, markets, solve_ne)
+                      PremiumDistribution, Scenario, lambda_ratio, markets,
+                      solve_ne)
 from solarmkt.cli import main
 from solarmkt.markets import _premium_revenue
 from test_acceptance import _write_california_fixtures
@@ -153,6 +155,52 @@ def test_truncated_exponential_moment_is_the_mpmath_antiderivative(x):
             want = _texp_reference(x / v_bar, v_bar, a, b)
             assert _rel(prem._yq_moment(a, b, 1.0), want) <= 4e-15, (x, v_bar, a,
                                                                  b)
+
+
+# ------------------------------------ lambda and the mean against the same refs
+
+def test_lambda_of_a_uniform_premium_is_two_thirds():
+    for v_bar in (0.6, 1.0, 0.037, 123.25):
+        lam = lambda_ratio(PremiumDistribution.uniform(v_bar))
+        assert _rel(lam, Fraction(2, 3)) <= 4e-16, v_bar
+
+
+@pytest.mark.parametrize("samples", [
+    [0.35, 0.35], _empirical_samples(30, seed=30),
+    _empirical_samples(300, seed=300), _empirical_samples(4000, seed=4000)],
+    ids=lambda samples: f"{len(samples)} samples")
+def test_lambda_of_an_empirical_table_is_exact(samples):
+    # by parts with q(1) = 0: lambda = 2 M(1) / (the integral of q)
+    exact = _ExactTable(samples)
+    table, n = exact.table, exact.n
+    mean = sum(table[i] + table[i + 1] for i in range(n)) / (2 * n)
+    want = 2 * exact.cum[n] / mean
+    assert _rel(lambda_ratio(PremiumDistribution.empirical(samples)),
+                want) <= 4e-16
+
+
+def _texp_mean_reference(rate: float, v_bar: float):
+    """1 / rate - v_bar / expm1(rate v_bar) at 50 digits past the
+    cancellation."""
+    with mpmath.workdps(80):
+        x = mpmath.mpf(rate) * mpmath.mpf(v_bar)
+        return 1 / mpmath.mpf(rate) - mpmath.mpf(v_bar) / mpmath.expm1(x)
+
+
+#: Rates times v_bar on [1e-8, 800], denser than ``TEXP_X`` around the
+#: end of the mean's series, x = 1.
+TEXP_MEAN_X = sorted(set(TEXP_X) | {4e-3, 0.03, 0.2, 0.9, 0.99, 1.0 - 1e-12,
+                                    1.0, 1.0 + 1e-12, 1.01, 1.1, 1.5})
+
+
+@pytest.mark.parametrize("x", TEXP_MEAN_X)
+def test_truncated_exponential_mean_and_lambda_are_the_mpmath_values(x):
+    for v_bar in (1.0, 0.25):
+        prem = PremiumDistribution.truncated_exponential(x / v_bar, v_bar)
+        mean = _texp_mean_reference(x / v_bar, v_bar)
+        assert _rel(prem.base_mean, mean) <= 4e-16, (x, v_bar)
+        want = 2 * _texp_reference(x / v_bar, v_bar, 0.0, 1.0) / mean
+        assert _rel(lambda_ratio(prem), want) <= 4e-16, (x, v_bar)
 
 
 def _premium(kind: str) -> PremiumDistribution:
